@@ -84,15 +84,13 @@ class SimulatedCluster:
         #: streams are dedicated, so enabling it never perturbs the
         #: draws of the exact simulation).
         self.fluid = (
-            FluidTier(self, config.fluid)
-            if getattr(config, "fluid", None) is not None
-            else None
+            FluidTier(self, config.fluid) if config.fluid is not None else None
         )
         #: Machine health scoring + lame-duck ejection (RNG-free, so
         #: installing it keeps the run CRN-aligned with a bare fleet).
         self.health = (
             HealthMonitor(self, config.health)
-            if getattr(config, "health", None) is not None
+            if config.health is not None
             else None
         )
 
@@ -154,7 +152,7 @@ class SimulatedCluster:
             remotes=config.remotes,
             branch_probs=config.branch_probs,
             env=self.env,
-            faults=getattr(config, "faults", None),
+            faults=config.faults,
         )
         machine = ClusterMachine(
             index, server, warm_at_ns=self.env.now + warmup_ns

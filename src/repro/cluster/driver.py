@@ -15,19 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.registry import TraceRegistry
-from ..faults import FaultConfig
-from ..hw.accelerator import QueuePolicy
 from ..hw.params import MachineParams
-from ..obs import ObsConfig
+from ..server.driver import OpenLoopConfig
 from ..server.metrics import ServiceResult
 from ..sim import LatencyRecorder
 from ..workloads.arrivals import make_arrivals
-from ..workloads.calibration import (
-    BranchProbabilities,
-    OrchestrationCosts,
-    RemoteLatencies,
-)
+from ..workloads.calibration import BranchProbabilities
 from ..workloads.spec import ServiceSpec
 from .admission import AdmissionConfig
 from .autoscaler import AutoscalerConfig
@@ -46,53 +39,38 @@ _SECOND_NS = 1e9
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
-    """Parameters of one cluster measurement run."""
+class ClusterConfig(OpenLoopConfig):
+    """Parameters of one cluster measurement run.
+
+    The open-loop fields come from
+    :class:`~repro.server.driver.OpenLoopConfig`. Here ``faults`` gives
+    every fleet member its own seeded :class:`~repro.faults.FaultPlane`,
+    ``obs`` observes the fleet (gauges, control-plane spans), and
+    ``arrival_mode`` also accepts "mmpp" (the ``mmpp_*`` shape below).
+    """
 
     architecture: str = "accelflow"
+    requests_per_service: int = 200
     #: Balancer policy name (see :data:`repro.cluster.BALANCER_POLICIES`).
     policy: str = "round-robin"
     #: Initial fleet size.
     machines: int = 2
-    requests_per_service: int = 200
-    seed: int = 0
-    queue_policy: str = QueuePolicy.FIFO
-    #: "poisson", "alibaba" (MMPP), "azure" (spikier MMPP) or "mmpp"
-    #: (MMPP with the ``mmpp_*`` burst shape below).
-    arrival_mode: str = "alibaba"
     #: Burst shape for ``arrival_mode="mmpp"`` — defaults chosen so a
     #: few hundred requests span several regime dwells.
     mmpp_burst_factor: float = 6.0
     mmpp_burst_share: float = 0.15
     mmpp_dwell_ns: float = 2e6
-    #: Cluster-wide per-service rate; overrides each spec's own rate.
-    rate_rps: Optional[float] = None
-    rate_scale: float = 1.0
-    machine_params: Optional[MachineParams] = None
     #: Processor-generation cycle for a heterogeneous fleet (machine i
     #: gets ``generations[i % len]``); empty = homogeneous fleet.
     generations: Tuple[str, ...] = ()
-    warmup_fraction: float = 0.1
-    #: Run at most this much simulated time past the last arrival.
-    drain_ns: float = 200e6
     #: Reroute attempts after machine failures before giving up.
     max_reroutes: int = 2
     autoscaler: Optional[AutoscalerConfig] = None
     admission: Optional[AdmissionConfig] = None
     failures: Tuple[MachineFailure, ...] = ()
-    orch_costs: Optional[OrchestrationCosts] = None
-    remotes: Optional[RemoteLatencies] = None
-    branch_probs: Optional[BranchProbabilities] = None
-    registry: Optional[TraceRegistry] = None
-    #: Cluster-level observability (fleet gauges, control-plane spans).
-    obs: Optional[ObsConfig] = None
     #: Fluid-approximation tier (None = every request simulates
     #: exactly; see :mod:`repro.cluster.fluid`).
     fluid: Optional[FluidConfig] = None
-    #: Per-machine fault injection: every fleet member gets its own
-    #: seeded :class:`~repro.faults.FaultPlane` (None/zero-rate keeps
-    #: the fleet byte-identical to a fault-free run).
-    faults: Optional[FaultConfig] = None
     #: Machine health scoring + lame-duck ejection (None disables).
     health: Optional[HealthConfig] = None
 
@@ -218,11 +196,9 @@ class ClusterResult:
 def _source(cluster: SimulatedCluster, spec: ServiceSpec,
             config: ClusterConfig, sink: List):
     """Process: open-loop arrivals for one service at the front door."""
-    rate = config.rate_rps if config.rate_rps is not None else spec.rate_rps
-    rate *= config.rate_scale
     arrivals = make_arrivals(
         config.arrival_mode,
-        rate,
+        config.offered_rps(spec),
         cluster.streams.stream(f"arrivals/{spec.name}"),
         burst_factor=config.mmpp_burst_factor,
         burst_share=config.mmpp_burst_share,
@@ -243,11 +219,9 @@ def _batched_source(cluster: SimulatedCluster, spec: ServiceSpec,
     batch at the front door in one event. Uses its own CRN stream, so
     flipping ``batched`` never perturbs the per-request arrival stream.
     """
-    rate = config.rate_rps if config.rate_rps is not None else spec.rate_rps
-    rate *= config.rate_scale
     quantum = config.fluid.quantum_ns
     stream = cluster.streams.stream(f"arrivals-batched/{spec.name}")
-    mean = rate * quantum / _SECOND_NS
+    mean = config.offered_rps(spec) * quantum / _SECOND_NS
     remaining = config.requests_per_service
     while remaining > 0:
         yield cluster.env.timeout(quantum)
@@ -270,13 +244,7 @@ def run_cluster(
         env.process(source_fn(cluster, spec, config, sink), name=f"src-{spec.name}")
         for spec in services
     ]
-    # Horizon: expected arrival span of the slowest source + drain.
-    span = max(
-        config.requests_per_service
-        / ((config.rate_rps or spec.rate_rps) * config.rate_scale)
-        for spec in services
-    )
-    horizon_ns = span * _SECOND_NS + config.drain_ns
+    horizon_ns = config.horizon_ns(services)
     if cluster.fluid is not None:
         cluster.fluid.start(services, horizon_ns)
 
@@ -369,10 +337,7 @@ def fold_cluster_result(
         machine_stats=stats["machines"],
         autoscaler_stats=stats["autoscaler"],
         admission_stats=stats["admission"],
-        offered_rps={
-            spec.name: (config.rate_rps or spec.rate_rps) * config.rate_scale
-            for spec in services
-        },
+        offered_rps={spec.name: config.offered_rps(spec) for spec in services},
         fluid_stats=stats["fluid"],
         health_stats=stats["health"],
         cluster=cluster,

@@ -31,53 +31,36 @@ manager) while AccelFlow is only grazed by the background transients.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from ..faults import FaultConfig
-from ..server.machine import SimulatedServer
+from ..faults.campaign import (
+    DRAIN_NS,
+    RATE_RPS,
+    SCENARIOS as CAMPAIGN_SCENARIOS,
+    SERVICE,
+    SLO_MULTIPLIER,
+    cell_config,
+)
+from ..server.driver import calibrate_slo, drive, make_server
 from ..sim import LatencyRecorder, derive_seed
 from ..workloads import social_network_services
-from ..workloads.arrivals import make_arrivals
 from .common import MAIN_ARCHITECTURES, format_table, pick_service, requests_for
 from .parallel import Shard, ShardedExperiment
 
-__all__ = ["run", "SCENARIOS", "SERVICE", "RATE_RPS", "SLO_MULTIPLIER"]
+__all__ = [
+    "run", "SCENARIOS", "SERVICE", "RATE_RPS", "SLO_MULTIPLIER", "DRAIN_NS",
+]
 
-#: The measured service (heavy accelerator path, remote waits).
-SERVICE = "StoreP"
-
-#: Offered load (RPS): well under every architecture's capacity so that
-#: availability loss is attributable to faults, not saturation.
-RATE_RPS = 2000.0
-
-#: SLO = multiplier x the architecture's own fault-free mean latency.
-SLO_MULTIPLIER = 5.0
-
-#: Simulated drain budget past the last arrival (ns).
-DRAIN_NS = 100e6
-
-#: Scenario name -> fault mix (None = fault-free baseline). Injector
-#: budgets (``*_max``) are sized for the ``full`` scale horizon; the
-#: run simply stops at its own horizon on smaller scales.
+#: Scenario name -> fault mix (None = fault-free baseline). The
+#: transient and wear mixes are the chaos campaign's; injector budgets
+#: (``*_max``) are sized for the ``full`` scale horizon, and the run
+#: simply stops at its own horizon on smaller scales.
 SCENARIOS: Dict[str, Optional[FaultConfig]] = {
     "clean": None,
-    "transient": FaultConfig(
-        pe_transient_rate=0.05,
-        dma_stall_rate=0.05,
-        dma_stall_ns=5e4,
-        dma_corruption_rate=0.01,
-    ),
-    "wear": FaultConfig(
-        pe_wedge_rate=0.01,
-        pe_wedge_ns=8e6,  # past the watchdog: forces timeout + retry
-        pe_stuck_mtbf_ns=2e7,
-        pe_repair_ns=5e6,
-        pe_stuck_max=32,
-        noc_flap_interval_ns=5e6,
-        noc_flap_down_ns=2e4,
-        noc_flap_max=128,
-        noc_degraded_factor=1.1,
-    ),
+    "transient": CAMPAIGN_SCENARIOS["transient"],
+    "wear": CAMPAIGN_SCENARIOS["wear"],
     "mgr-outage": FaultConfig(
         pe_transient_rate=0.02,
         manager_outage_interval_ns=2e6,
@@ -88,33 +71,6 @@ SCENARIOS: Dict[str, Optional[FaultConfig]] = {
 
 #: Render order (clean first, harshest last).
 SCENARIO_ORDER = ["clean", "transient", "wear", "mgr-outage"]
-
-
-def _measure(architecture, spec, faults, seed, n_requests):
-    """One open-loop run; returns the live request list and the server."""
-    server = SimulatedServer(architecture, seed=seed, faults=faults)
-    env = server.env
-    arrivals = make_arrivals(
-        "poisson", RATE_RPS, server.streams.stream(f"arrivals/{spec.name}")
-    )
-    in_flight: List = []
-
-    def source(env):
-        for _ in range(n_requests):
-            yield env.timeout(arrivals.next_gap_ns())
-            request = server.make_request(spec)
-            in_flight.append((request, server.submit(request)))
-
-    src = env.process(source(env), name="chaos-src")
-
-    def watch(env):
-        yield src
-        yield env.all_of([process for _, process in in_flight])
-
-    watcher = env.process(watch(env), name="chaos-watch")
-    horizon_ns = n_requests / RATE_RPS * 1e9 + DRAIN_NS
-    env.run(until=env.any_of([watcher, env.timeout(horizon_ns)]))
-    return in_flight, server
 
 
 def _summarize(in_flight, server, slo_ns) -> Dict[str, float]:
@@ -181,25 +137,14 @@ def run_shard(shard: Shard, scale: str) -> Dict[str, float]:
 
     # Fault-free reference at the same seed pins the SLO per cell, so
     # availability measures fault damage, not architecture speed.
-    clean_flight, clean_server = _measure(
-        architecture, spec, None, shard.seed, n_requests
-    )
-    clean_latencies = [r.latency_ns for r, _ in clean_flight if r.completed]
-    if not clean_latencies:
-        raise RuntimeError(
-            f"fault-free reference run completed nothing "
-            f"({architecture}, seed {shard.seed})"
-        )
-    slo_ns = SLO_MULTIPLIER * (sum(clean_latencies) / len(clean_latencies))
-
+    config = cell_config(architecture, shard.seed, n_requests)
+    slo_ns, in_flight, server = calibrate_slo(spec, config, SLO_MULTIPLIER)
     faults = SCENARIOS[scenario]
-    if faults is None:
-        payload = _summarize(clean_flight, clean_server, slo_ns)
-    else:
-        in_flight, server = _measure(
-            architecture, spec, faults, shard.seed, n_requests
-        )
-        payload = _summarize(in_flight, server, slo_ns)
+    if faults is not None:
+        config = replace(config, faults=faults)
+        server = make_server(config)
+        in_flight = drive(server, [spec], config)
+    payload = _summarize(in_flight, server, slo_ns)
     payload["slo_ns"] = slo_ns
     return payload
 

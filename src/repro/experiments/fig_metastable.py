@@ -38,13 +38,12 @@ loop and the budget as the cure.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..faults import FaultConfig
-from ..server.machine import SimulatedServer
+from ..server.driver import RunConfig, calibrate_slo, drive, make_server
 from ..sim import derive_seed
 from ..workloads import social_network_services
-from ..workloads.arrivals import make_arrivals
 from .common import format_table, pick_service, requests_for
 from .parallel import Shard, ShardedExperiment
 
@@ -113,33 +112,6 @@ ARMS: Dict[str, FaultConfig] = {
 ARM_ORDER = ["fixed-retry", "retry-budget"]
 
 
-def _measure(spec, faults: Optional[FaultConfig], seed: int, n_requests: int):
-    """One open-loop run; returns (in_flight, server, arrival_span_ns)."""
-    server = SimulatedServer(ARCHITECTURE, seed=seed, faults=faults)
-    env = server.env
-    arrivals = make_arrivals(
-        "poisson", RATE_RPS, server.streams.stream(f"arrivals/{spec.name}")
-    )
-    in_flight: List = []
-
-    def source(env):
-        for _ in range(n_requests):
-            yield env.timeout(arrivals.next_gap_ns())
-            request = server.make_request(spec)
-            in_flight.append((request, server.submit(request)))
-
-    src = env.process(source(env), name="metastable-src")
-
-    def watch(env):
-        yield src
-        yield env.all_of([process for _, process in in_flight])
-
-    watcher = env.process(watch(env), name="metastable-watch")
-    span_ns = n_requests / RATE_RPS * 1e9
-    env.run(until=env.any_of([watcher, env.timeout(span_ns + DRAIN_NS)]))
-    return in_flight, server, span_ns
-
-
 def _breach_series(in_flight, span_ns: float, slo_ns: float) -> List[float]:
     """Per-window fraction of requests breaching the SLO.
 
@@ -187,19 +159,19 @@ def run_shard(shard: Shard, scale: str) -> Dict[str, object]:
 
     # Fault-free reference at the same seed pins the SLO, so the breach
     # series measures storm damage, not steady-state queueing.
-    clean_flight, _clean_server, span_ns = _measure(
-        spec, None, shard.seed, n_requests
+    config = RunConfig(
+        ARCHITECTURE,
+        requests_per_service=n_requests,
+        seed=shard.seed,
+        arrival_mode="poisson",
+        rate_rps=RATE_RPS,
+        drain_ns=DRAIN_NS,
     )
-    clean_latencies = [r.latency_ns for r, _ in clean_flight if r.completed]
-    if not clean_latencies:
-        raise RuntimeError(
-            f"fault-free reference run completed nothing (seed {shard.seed})"
-        )
-    slo_ns = SLO_MULTIPLIER * (sum(clean_latencies) / len(clean_latencies))
-
-    in_flight, server, span_ns = _measure(
-        spec, ARMS[arm], shard.seed, n_requests
-    )
+    slo_ns, _, _ = calibrate_slo(spec, config, SLO_MULTIPLIER)
+    config = replace(config, faults=ARMS[arm])
+    server = make_server(config)
+    in_flight = drive(server, [spec], config)
+    span_ns = n_requests / RATE_RPS * 1e9  # expected arrival span
     recovery = server.orchestrator.stats().get("recovery", {})
     censored = sum(1 for r, _ in in_flight if not r.completed)
     return {

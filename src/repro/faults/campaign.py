@@ -29,13 +29,14 @@ table that CI diffs against its golden fixture.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import Dict, List
 
 from ..obs import ObsConfig
 from ..obs.slo import SLOMonitorConfig, SLOTarget
+from ..server.driver import RunConfig, calibrate_slo, drive, make_server
 from ..server.machine import SimulatedServer
 from ..sim import LatencyRecorder
-from ..workloads.arrivals import make_arrivals
 from .config import FaultConfig
 
 __all__ = [
@@ -46,6 +47,8 @@ __all__ = [
     "SERVICE",
     "RATE_RPS",
     "SLO_MULTIPLIER",
+    "DRAIN_NS",
+    "cell_config",
     "run_cell",
     "aggregate",
 ]
@@ -71,8 +74,8 @@ ARCHITECTURES = ["relief", "accelflow"]
 #: shares one derived seed, so architectures stay CRN-aligned.
 REPLICAS = 3
 
-#: Scenario name -> fault mix. Fail-stop mixes mirror ``fig_faults``;
-#: the gray scenarios exercise :mod:`repro.faults.gray`.
+#: Scenario name -> fault mix. ``fig_faults`` reuses the fail-stop
+#: mixes; the gray scenarios exercise :mod:`repro.faults.gray`.
 SCENARIOS: Dict[str, FaultConfig] = {
     "transient": FaultConfig(
         pe_transient_rate=0.05,
@@ -138,38 +141,16 @@ def _slo_obs(slo_ns: float) -> ObsConfig:
     )
 
 
-def _measure(
-    architecture: str,
-    spec,
-    faults: Optional[FaultConfig],
-    seed: int,
-    n_requests: int,
-    obs: Optional[ObsConfig] = None,
-):
-    """One open-loop run; returns (in_flight, server)."""
-    server = SimulatedServer(architecture, seed=seed, faults=faults, obs=obs)
-    env = server.env
-    arrivals = make_arrivals(
-        "poisson", RATE_RPS, server.streams.stream(f"arrivals/{spec.name}")
+def cell_config(architecture: str, seed: int, n_requests: int) -> RunConfig:
+    """A chaos cell's open-loop run: Poisson arrivals at ``RATE_RPS``."""
+    return RunConfig(
+        architecture,
+        requests_per_service=n_requests,
+        seed=seed,
+        arrival_mode="poisson",
+        rate_rps=RATE_RPS,
+        drain_ns=DRAIN_NS,
     )
-    in_flight: List = []
-
-    def source(env):
-        for _ in range(n_requests):
-            yield env.timeout(arrivals.next_gap_ns())
-            request = server.make_request(spec)
-            in_flight.append((request, server.submit(request)))
-
-    src = env.process(source(env), name="campaign-src")
-
-    def watch(env):
-        yield src
-        yield env.all_of([process for _, process in in_flight])
-
-    watcher = env.process(watch(env), name="campaign-watch")
-    horizon_ns = n_requests / RATE_RPS * 1e9 + DRAIN_NS
-    env.run(until=env.any_of([watcher, env.timeout(horizon_ns)]))
-    return in_flight, server
 
 
 def _total_ops(server: SimulatedServer) -> float:
@@ -197,22 +178,17 @@ def run_cell(
     spec = next(
         s for s in social_network_services() if s.name == SERVICE
     )
-    clean_flight, clean_server = _measure(
-        architecture, spec, None, seed, n_requests
+    config = cell_config(architecture, seed, n_requests)
+    slo_ns, clean_flight, clean_server = calibrate_slo(
+        spec, config, SLO_MULTIPLIER
     )
-    clean_latencies = [r.latency_ns for r, _ in clean_flight if r.completed]
-    if not clean_latencies:
-        raise RuntimeError(
-            f"clean reference completed nothing ({architecture}, seed {seed})"
-        )
-    slo_ns = SLO_MULTIPLIER * (sum(clean_latencies) / len(clean_latencies))
     clean_p99 = _p99(clean_flight, clean_server.env.now)
     clean_ops = _total_ops(clean_server)
 
     obs = _slo_obs(slo_ns)
-    in_flight, server = _measure(
-        architecture, spec, SCENARIOS[scenario], seed, n_requests, obs=obs
-    )
+    config = replace(config, faults=SCENARIOS[scenario], obs=obs)
+    server = make_server(config)
+    in_flight = drive(server, [spec], config)
 
     available = censored = 0
     for request, _process in in_flight:

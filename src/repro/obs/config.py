@@ -104,6 +104,8 @@ class ObsConfig:
         ``AlertFired`` published mid-dispatch still lands in the
         recorder's ring before the recorder's own trigger handling runs.
         """
+        if self.profile_kernel:
+            env.enable_profiling()
         tracer = (
             SpanTracer(
                 env,
@@ -145,42 +147,35 @@ class ObsConfig:
         self.sessions.append(session)
         return session
 
+    def _latest(self, name: str):
+        """``name`` of the most recent session that has one, else None."""
+        for session in reversed(self.sessions):
+            value = getattr(session, name)
+            if value is not None:
+                return value
+        return None
+
     @property
     def tracer(self) -> Optional[SpanTracer]:
         """Tracer of the most recent session (None before any run)."""
-        for session in reversed(self.sessions):
-            if session.tracer is not None:
-                return session.tracer
-        return None
+        return self._latest("tracer")
 
     @property
     def registry(self) -> Optional[MetricsRegistry]:
         """Metrics registry of the most recent session."""
-        for session in reversed(self.sessions):
-            if session.registry is not None:
-                return session.registry
-        return None
+        return self._latest("registry")
 
     @property
     def bus(self) -> Optional[TelemetryBus]:
         """Telemetry bus of the most recent session."""
-        for session in reversed(self.sessions):
-            if session.bus is not None:
-                return session.bus
-        return None
+        return self._latest("bus")
 
     @property
     def slo_monitor(self) -> Optional[SLOMonitor]:
         """SLO monitor of the most recent session."""
-        for session in reversed(self.sessions):
-            if session.slo_monitor is not None:
-                return session.slo_monitor
-        return None
+        return self._latest("slo_monitor")
 
     @property
     def recorder(self) -> Optional[FlightRecorder]:
         """Flight recorder of the most recent session."""
-        for session in reversed(self.sessions):
-            if session.recorder is not None:
-                return session.recorder
-        return None
+        return self._latest("recorder")

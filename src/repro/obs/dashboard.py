@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
+from dataclasses import replace
 from typing import Deque, Dict, List, Optional, Tuple
 
 from .telemetry import (
@@ -265,10 +266,9 @@ def run_demo_server(
     """
     # Imported lazily: the experiments package pulls in the entire
     # harness, which this module must not load at import time.
-    from ..experiments.fig_faults import SCENARIOS, SLO_MULTIPLIER
-    from ..server.machine import SimulatedServer
+    from ..experiments.fig_faults import DRAIN_NS, SCENARIOS, SLO_MULTIPLIER
+    from ..server.driver import RunConfig, calibrate_slo, drive, make_server
     from ..workloads import social_network_services
-    from ..workloads.arrivals import make_arrivals
     from .config import ObsConfig
     from .slo import SLOMonitorConfig, SLOTarget
 
@@ -278,40 +278,26 @@ def run_demo_server(
         )
     service = "StoreP"
     spec = next(s for s in social_network_services() if s.name == service)
-
-    def _measure(faults, obs, n):
-        server = SimulatedServer(
-            architecture, seed=seed, faults=faults, obs=obs
-        )
-        arrivals = make_arrivals(
-            "poisson", rate_rps, server.streams.stream(f"arrivals/{spec.name}")
-        )
-        in_flight = []
-
-        def source(env):
-            for _ in range(n):
-                yield env.timeout(arrivals.next_gap_ns())
-                request = server.make_request(spec)
-                in_flight.append((request, server.submit(request)))
-
-        env = server.env
-        src = env.process(source(env), name="dash-src")
-
-        def watch(env):
-            yield src
-            yield env.all_of([process for _, process in in_flight])
-
-        watcher = env.process(watch(env), name="dash-watch")
-        horizon = env.timeout(n / rate_rps * 1e9 + 100e6)
-        return server, env.any_of([watcher, horizon]), in_flight
+    config = RunConfig(
+        architecture,
+        requests_per_service=requests,
+        seed=seed,
+        arrival_mode="poisson",
+        rate_rps=rate_rps,
+        drain_ns=DRAIN_NS,
+    )
 
     # Fault-free calibration run pins the latency SLO, exactly like the
-    # chaos experiment does (SLO = multiplier x clean mean latency).
-    clean_n = min(requests, 150)
-    clean_server, clean_until, clean_flight = _measure(None, None, clean_n)
-    clean_server.env.run(until=clean_until)
-    clean = [r.latency_ns for r, _ in clean_flight if r.completed]
-    slo_ns = SLO_MULTIPLIER * (sum(clean) / len(clean)) if clean else 1e6
+    # chaos experiment does (SLO = multiplier x clean mean latency); a
+    # run that completed nothing falls back to a fixed SLO.
+    try:
+        slo_ns, _, _ = calibrate_slo(
+            spec,
+            replace(config, requests_per_service=min(requests, 150)),
+            SLO_MULTIPLIER,
+        )
+    except RuntimeError:
+        slo_ns = 1e6
 
     obs = ObsConfig(
         trace=True,
@@ -326,19 +312,20 @@ def run_demo_server(
             min_events=6,
         ),
     )
-    server, until, in_flight = _measure(SCENARIOS[scenario], obs, requests)
+    config = replace(config, faults=SCENARIOS[scenario], obs=obs)
+    server = make_server(config)
     session = obs.sessions[-1]
     dashboard = Dashboard(session.bus, slo=obs.slo)
     env = server.env
     if live:  # pragma: no cover - interactive path
-        while True:
-            tick = env.timeout(live_interval_ns)
-            env.run(until=env.any_of([until, tick]))
-            dashboard.render_live(stream)
-            if until.triggered:
-                break
-    else:
-        env.run(until=until)
+
+        def redraw(env):
+            while True:
+                yield env.timeout(live_interval_ns)
+                dashboard.render_live(stream)
+
+        env.process(redraw(env), name="dashboard-redraw")
+    in_flight = drive(server, [spec], config)
     session.slo_monitor.sweep(env.now)
     return {
         "server": server,

@@ -132,9 +132,13 @@ class SimClock:
                 lag = self.lag_ns()
                 if lag > self.max_lag_ns:
                     self.max_lag_ns = lag
+                # Yield even when the slice reached the target: a caller
+                # that loops on advance_to (an open-loop injector) would
+                # otherwise never await while the sim lags the wall
+                # clock, and the loop could not run its stop timer.
+                await asyncio.sleep(0)
                 if reached:
                     return
-                await asyncio.sleep(0)
                 continue
             if paid > env.now:
                 env.run_wall_slice(

@@ -12,17 +12,23 @@ hardware statistics. Two deployment modes match the paper's setups:
 ``run_unloaded`` executes requests one at a time (Figure 17 and the
 SLO reference latencies), and ``max_throughput_search`` binary-searches
 the highest per-service load whose P99 stays within the SLO (Fig 14).
+
+:func:`drive` is the one open-loop harness every single-server run
+goes through, the chaos experiments included; :func:`calibrate_slo`
+is their shared fault-free SLO reference run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faults import FaultConfig
 from ..hw.accelerator import QueuePolicy
 from ..hw.params import MachineParams
 from ..obs import ObsConfig
+from ..obs.telemetry import Marker
+from ..sim import Process
 from ..workloads.arrivals import make_arrivals
 from ..workloads.calibration import (
     BranchProbabilities,
@@ -30,12 +36,17 @@ from ..workloads.calibration import (
     RemoteLatencies,
 )
 from ..core.registry import TraceRegistry
+from ..workloads.request import Request
 from ..workloads.spec import ServiceSpec
 from .machine import SimulatedServer
 from .metrics import ExperimentResult, ServiceResult
 
 __all__ = [
+    "OpenLoopConfig",
     "RunConfig",
+    "calibrate_slo",
+    "drive",
+    "make_server",
     "run_experiment",
     "run_dedicated_service",
     "combine_dedicated",
@@ -47,8 +58,9 @@ _SECOND_NS = 1e9
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Parameters of one measurement run."""
+class OpenLoopConfig:
+    """Open-loop run parameters shared by :class:`RunConfig` and
+    :class:`~repro.cluster.ClusterConfig`."""
 
     architecture: str
     requests_per_service: int = 300
@@ -60,16 +72,9 @@ class RunConfig:
     #: Overrides every service's own rate when set (RPS per service).
     rate_rps: Optional[float] = None
     rate_scale: float = 1.0
-    #: True: all services share one server. False: one server each.
-    colocated: bool = False
     warmup_fraction: float = 0.1
     #: Run at most this much simulated time past the last arrival.
     drain_ns: float = 200e6
-    #: Multiplies mean unloaded latency to set the per-request soft
-    #: deadline when the EDF queue policy is active.
-    slo_multiplier: float = 5.0
-    #: Reference unloaded latency per service (for EDF deadlines).
-    unloaded_reference_ns: Dict[str, float] = field(default_factory=dict)
     orch_costs: Optional[OrchestrationCosts] = None
     remotes: Optional[RemoteLatencies] = None
     branch_probs: Optional[BranchProbabilities] = None
@@ -84,8 +89,43 @@ class RunConfig:
     #: fault-free simulator, bit for bit).
     faults: Optional[FaultConfig] = None
 
+    def offered_rps(self, spec: ServiceSpec) -> float:
+        """Offered load of one service: ``rate_rps`` when set, else the
+        spec's own rate, times ``rate_scale``."""
+        rate = self.rate_rps if self.rate_rps is not None else spec.rate_rps
+        rate *= self.rate_scale
+        if rate <= 0:
+            raise ValueError(f"rate must be positive, got {rate}")
+        return rate
 
-def _make_server(config: RunConfig, seed_offset: int = 0) -> SimulatedServer:
+    def horizon_ns(self, services: Sequence[ServiceSpec]) -> float:
+        """Expected arrival span of the slowest source plus the drain."""
+        span = max(
+            self.requests_per_service / self.offered_rps(spec)
+            for spec in services
+        )
+        return span * _SECOND_NS + self.drain_ns
+
+
+@dataclass(frozen=True)
+class RunConfig(OpenLoopConfig):
+    """Parameters of one measurement run."""
+
+    #: True: all services share one server. False: one server each.
+    colocated: bool = False
+    #: Multiplies mean unloaded latency to set the per-request soft
+    #: deadline when the EDF queue policy is active.
+    slo_multiplier: float = 5.0
+    #: Reference unloaded latency per service (for EDF deadlines).
+    unloaded_reference_ns: Dict[str, float] = field(default_factory=dict)
+
+
+#: One submission: the request and its lifecycle process.
+InFlight = List[Tuple[Request, Process]]
+
+
+def make_server(config: RunConfig, seed_offset: int = 0) -> SimulatedServer:
+    """A fresh server built from ``config`` (seed + ``seed_offset``)."""
     return SimulatedServer(
         config.architecture,
         machine_params=config.machine_params,
@@ -100,16 +140,13 @@ def _make_server(config: RunConfig, seed_offset: int = 0) -> SimulatedServer:
     )
 
 
-def _arrivals_for(server: SimulatedServer, spec: ServiceSpec, config: RunConfig):
-    rate = config.rate_rps if config.rate_rps is not None else spec.rate_rps
-    rate *= config.rate_scale
-    stream = server.streams.stream(f"arrivals/{spec.name}")
-    return make_arrivals(config.arrival_mode, rate, stream)
-
-
 def _source(server: SimulatedServer, spec: ServiceSpec, config: RunConfig, sink):
     """Process: generate open-loop arrivals for one service."""
-    arrivals = _arrivals_for(server, spec, config)
+    arrivals = make_arrivals(
+        config.arrival_mode,
+        config.offered_rps(spec),
+        server.streams.stream(f"arrivals/{spec.name}"),
+    )
     for _ in range(config.requests_per_service):
         yield server.env.timeout(arrivals.next_gap_ns())
         request = server.make_request(spec)
@@ -122,15 +159,23 @@ def _source(server: SimulatedServer, spec: ServiceSpec, config: RunConfig, sink)
         sink.append((request, server.submit(request)))
 
 
-def _run_on_server(
-    server: SimulatedServer, services: List[ServiceSpec], config: RunConfig
-) -> Dict[str, ServiceResult]:
-    if server.bus is not None:
-        from ..obs.telemetry import Marker
+def drive(
+    server: SimulatedServer, services: Sequence[ServiceSpec], config: RunConfig
+) -> InFlight:
+    """Play open-loop arrivals for ``services`` into ``server``.
 
-        server.bus.publish(
+    Starts one arrival source per service, in service order, then runs
+    until every submitted request completes or ``config.horizon_ns``
+    passes, whichever comes first, so idle drain time never dilutes
+    utilization statistics. Returns every submission; requests still in
+    flight at the horizon are not ``completed``.
+    """
+    env = server.env
+    bus = server.bus
+    if bus is not None:
+        bus.publish(
             Marker(
-                t_ns=server.env.now,
+                t_ns=env.now,
                 name="run-start",
                 args={
                     "architecture": config.architecture,
@@ -139,44 +184,42 @@ def _run_on_server(
                 },
             )
         )
-    in_flight: List = []
+    in_flight: InFlight = []
     sources = [
-        server.env.process(
+        env.process(
             _source(server, spec, config, in_flight), name=f"src-{spec.name}"
         )
         for spec in services
     ]
-    # Horizon: expected arrival span of the slowest source + drain.
-    span = max(
-        config.requests_per_service
-        / ((config.rate_rps or spec.rate_rps) * config.rate_scale)
-        for spec in services
-    )
-    horizon_ns = span * _SECOND_NS + config.drain_ns
+    horizon_ns = config.horizon_ns(services)
 
     def _watch_completion(env):
         for source in sources:
             yield source
         yield env.all_of([proc for _, proc in in_flight])
 
-    watcher = server.env.process(_watch_completion(server.env))
-    # Stop at full completion or at the horizon, whichever comes first,
-    # so idle drain time never dilutes utilization statistics.
-    server.env.run(
-        until=server.env.any_of([watcher, server.env.timeout(horizon_ns)])
-    )
+    watcher = env.process(_watch_completion(env))
+    env.run(until=env.any_of([watcher, env.timeout(horizon_ns)]))
 
-    if server.bus is not None:
-        from ..obs.telemetry import Marker
-
+    if bus is not None:
         completed = sum(1 for request, _ in in_flight if request.completed)
-        server.bus.publish(
+        bus.publish(
             Marker(
-                t_ns=server.env.now,
+                t_ns=env.now,
                 name="run-end",
                 args={"submitted": len(in_flight), "completed": completed},
             )
         )
+    return in_flight
+
+
+def _fold(
+    server: SimulatedServer,
+    services: Sequence[ServiceSpec],
+    config: RunConfig,
+    in_flight: InFlight,
+) -> Dict[str, ServiceResult]:
+    """Per-service results; unfinished requests are recorded as censored."""
     results = {
         spec.name: ServiceResult(spec.name, warmup_fraction=config.warmup_fraction)
         for spec in services
@@ -190,6 +233,28 @@ def _run_on_server(
     return results
 
 
+def calibrate_slo(
+    spec: ServiceSpec, config: RunConfig, multiplier: float
+) -> Tuple[float, InFlight, SimulatedServer]:
+    """The fault-free reference run that pins a chaos cell's SLO.
+
+    Drives ``config`` without faults or observability (same seed, so
+    the same arrivals and request bodies) and returns ``(slo_ns,
+    in_flight, server)`` with ``slo_ns = multiplier x`` the mean latency
+    of the completed requests. Raises RuntimeError if none completed.
+    """
+    config = replace(config, faults=None, obs=None)
+    server = make_server(config)
+    in_flight = drive(server, [spec], config)
+    latencies = [r.latency_ns for r, _ in in_flight if r.completed]
+    if not latencies:
+        raise RuntimeError(
+            f"fault-free reference run completed nothing "
+            f"({config.architecture}, seed {config.seed})"
+        )
+    return multiplier * (sum(latencies) / len(latencies)), in_flight, server
+
+
 def run_dedicated_service(
     spec: ServiceSpec, config: RunConfig, seed_offset: int = 0
 ) -> Dict[str, object]:
@@ -199,15 +264,15 @@ def run_dedicated_service(
     ship it across process boundaries; :func:`combine_dedicated` folds
     any number of such cells back into an :class:`ExperimentResult`.
     """
-    server = _make_server(config, seed_offset=seed_offset)
-    per_service = _run_on_server(server, [spec], config)
+    server = make_server(config, seed_offset=seed_offset)
+    in_flight = drive(server, [spec], config)
     return {
-        "service": per_service[spec.name],
+        "service": _fold(server, [spec], config, in_flight)[spec.name],
         "elapsed_ns": server.env.now,
         "hardware_stats": server.hardware.stats(),
         "orchestrator_stats": server.orchestrator.stats(),
         "utilizations": server.hardware.accelerator_utilizations(),
-        "offered_rps": (config.rate_rps or spec.rate_rps) * config.rate_scale,
+        "offered_rps": config.offered_rps(spec),
     }
 
 
@@ -242,35 +307,23 @@ def run_experiment(
     services: List[ServiceSpec], config: RunConfig
 ) -> ExperimentResult:
     """Run one measurement; merges per-service servers unless colocated."""
-    if config.colocated:
-        server = _make_server(config)
-        per_service = _run_on_server(server, services, config)
-        return _finish(server, per_service, config, services)
+    if not config.colocated:
+        cells = {
+            spec.name: run_dedicated_service(spec, config, seed_offset=index)
+            for index, spec in enumerate(services)
+        }
+        return combine_dedicated(config.architecture, cells)
 
-    cells = {
-        spec.name: run_dedicated_service(spec, config, seed_offset=index)
-        for index, spec in enumerate(services)
-    }
-    return combine_dedicated(config.architecture, cells)
-
-
-def _finish(
-    server: SimulatedServer,
-    per_service: Dict[str, ServiceResult],
-    config: RunConfig,
-    services: List[ServiceSpec],
-) -> ExperimentResult:
+    server = make_server(config)
+    in_flight = drive(server, services, config)
     return ExperimentResult(
         architecture=config.architecture,
-        services=per_service,
+        services=_fold(server, services, config, in_flight),
         elapsed_ns=server.env.now,
         hardware_stats=server.hardware.stats(),
         orchestrator_stats=server.orchestrator.stats(),
         utilizations=server.hardware.accelerator_utilizations(),
-        offered_rps={
-            spec.name: (config.rate_rps or spec.rate_rps) * config.rate_scale
-            for spec in services
-        },
+        offered_rps={spec.name: config.offered_rps(spec) for spec in services},
     )
 
 

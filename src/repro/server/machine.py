@@ -51,13 +51,7 @@ class SimulatedServer:
         self.params = machine_params or MachineParams()
         self.registry = registry or TraceRegistry.with_standard_templates()
         self.obs = obs
-        if env is None:
-            env = Environment(
-                profile=obs.profile_kernel if obs is not None else False
-            )
-        elif obs is not None and obs.profile_kernel:
-            env.enable_profiling()
-        self.env = env
+        self.env = env if env is not None else Environment()
         self.tracer: Optional[SpanTracer] = None
         self.metrics: Optional[MetricsRegistry] = None
         self.bus = None

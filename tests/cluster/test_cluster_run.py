@@ -38,6 +38,18 @@ class TestSmoke:
         assert len({id(m.server.env) for m in cluster.machines}) == 1
         assert cluster.machines[0].server.env is cluster.env
 
+    def test_profile_kernel_profiles_the_fleet(self):
+        from repro.obs import ObsConfig
+
+        config = ClusterConfig(machines=2, requests_per_service=5,
+                               rate_rps=10000.0, seed=0,
+                               obs=ObsConfig(profile_kernel=True))
+        result = run_cluster(services("UniqId"), config)
+        profile = result.cluster.env.profile
+        assert profile is not None
+        assert 0 < profile.events <= result.cluster.env.scheduled_events
+        assert config.obs.sessions[-1].env is result.cluster.env
+
     def test_work_spreads_across_the_fleet(self):
         config = ClusterConfig(policy="round-robin", machines=3,
                                requests_per_service=30, rate_rps=30000.0,

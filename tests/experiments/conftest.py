@@ -10,7 +10,7 @@ diffing against them::
 import pytest
 
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.experiments.parallel import ShardExecutor
+from repro.experiments.parallel import ShardExecutor, default_jobs
 
 
 def pytest_addoption(parser):
@@ -34,7 +34,10 @@ def golden_executor():
     It reads/writes the repo-level shard cache, so a pytest run on
     unchanged code replays cached shards instead of re-simulating
     (the cache key embeds a fingerprint of the ``repro`` sources, so
-    any code edit forces recomputation).
+    any code edit forces recomputation). Cold shards run on up to two
+    worker processes; merged results are in shard order, so every
+    table is byte-identical to a serial run.
     """
-    with ShardExecutor(jobs=1, cache=ResultCache(DEFAULT_CACHE_DIR)) as executor:
+    jobs = min(2, default_jobs())
+    with ShardExecutor(jobs=jobs, cache=ResultCache(DEFAULT_CACHE_DIR)) as executor:
         yield executor

@@ -9,16 +9,15 @@ rotates the seed in CI (see the chaos job).
 """
 
 import os
-from typing import List
 
 import pytest
 
 from repro.faults import FaultConfig
 from repro.hw import MachineParams
 from repro.server import SimulatedServer
+from repro.server.driver import RunConfig, drive, make_server
 from repro.sim import LatencyRecorder
 from repro.workloads import social_network_services
-from repro.workloads.arrivals import make_arrivals
 
 SERVICE = "StoreP"
 RATE_RPS = 2000.0
@@ -42,38 +41,24 @@ RAMP = FaultConfig(
 )
 
 
-def _measure(faults, seed=SEED, placement=None, **server_kw):
+def _measure(faults, seed=SEED, placement=None, **config_kw):
     """One seeded open-loop run; returns (samples, mean, server)."""
     spec = [s for s in social_network_services() if s.name == SERVICE][0]
     params = (
         MachineParams().with_placement(placement) if placement else None
     )
-    server = SimulatedServer(
+    config = RunConfig(
         "accelflow",
-        machine_params=params,
+        requests_per_service=N_REQUESTS,
         seed=seed,
+        machine_params=params,
+        arrival_mode="poisson",
+        rate_rps=RATE_RPS,
         faults=faults,
-        **server_kw,
+        **config_kw,
     )
-    env = server.env
-    arrivals = make_arrivals(
-        "poisson", RATE_RPS, server.streams.stream(f"arrivals/{spec.name}")
-    )
-    in_flight: List = []
-
-    def source(env):
-        for _ in range(N_REQUESTS):
-            yield env.timeout(arrivals.next_gap_ns())
-            request = server.make_request(spec)
-            in_flight.append((request, server.submit(request)))
-
-    src = env.process(source(env))
-
-    def watch(env):
-        yield src
-        yield env.all_of([process for _, process in in_flight])
-
-    env.run(until=env.process(watch(env)))
+    server = make_server(config)
+    in_flight = drive(server, [spec], config)
     assert all(r.completed for r, _ in in_flight)
     assert not any(r.error for r, _ in in_flight), "gray faults never error"
     recorder = LatencyRecorder(warmup_fraction=0.0)

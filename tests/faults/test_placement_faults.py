@@ -8,14 +8,12 @@ pin both directions of that contract, plus the NIC congestion window.
 """
 
 import os
-from typing import List
 
 from repro.faults import FaultConfig
 from repro.hw import MachineParams
-from repro.server import SimulatedServer
+from repro.server.driver import RunConfig, drive, make_server
 from repro.sim import LatencyRecorder
 from repro.workloads import social_network_services
-from repro.workloads.arrivals import make_arrivals
 
 SERVICE = "StoreP"
 RATE_RPS = 2000.0
@@ -38,31 +36,18 @@ NIC_CONGESTION = FaultConfig(
 def _measure(placement, faults, seed=SEED):
     """One seeded open-loop run; returns (samples, p99, server)."""
     spec = [s for s in social_network_services() if s.name == SERVICE][0]
-    server = SimulatedServer(
+    config = RunConfig(
         "accelflow",
-        machine_params=MachineParams().with_placement(placement),
+        requests_per_service=N_REQUESTS,
         seed=seed,
+        machine_params=MachineParams().with_placement(placement),
+        arrival_mode="poisson",
+        rate_rps=RATE_RPS,
         faults=faults,
     )
-    env = server.env
-    arrivals = make_arrivals(
-        "poisson", RATE_RPS, server.streams.stream(f"arrivals/{spec.name}")
-    )
-    in_flight: List = []
-
-    def source(env):
-        for _ in range(N_REQUESTS):
-            yield env.timeout(arrivals.next_gap_ns())
-            request = server.make_request(spec)
-            in_flight.append((request, server.submit(request)))
-
-    src = env.process(source(env))
-
-    def watch(env):
-        yield src
-        yield env.all_of([process for _, process in in_flight])
-
-    env.run(until=env.process(watch(env)))
+    server = make_server(config)
+    in_flight = drive(server, [spec], config)
+    assert all(r.completed for r, _ in in_flight)
     recorder = LatencyRecorder(warmup_fraction=0.0)
     for request, _ in in_flight:
         recorder.record(request.latency_ns)

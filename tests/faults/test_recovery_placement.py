@@ -17,14 +17,12 @@ placement tests pin on their own:
 """
 
 import os
-from typing import List
 
 from repro.faults import FaultConfig
 from repro.hw import MachineParams
 from repro.hw.placement import Placement
-from repro.server import SimulatedServer
+from repro.server.driver import RunConfig, drive, make_server
 from repro.workloads import social_network_services
-from repro.workloads.arrivals import make_arrivals
 
 SERVICE = "StoreP"
 RATE_RPS = 2000.0
@@ -34,33 +32,19 @@ SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 def _run(placement_overrides, faults, seed=SEED, default="on_package"):
     spec = [s for s in social_network_services() if s.name == SERVICE][0]
-    server = SimulatedServer(
+    config = RunConfig(
         "accelflow",
+        requests_per_service=N_REQUESTS,
+        seed=seed,
         machine_params=MachineParams().with_placement(
             default, placement_overrides
         ),
-        seed=seed,
+        arrival_mode="poisson",
+        rate_rps=RATE_RPS,
         faults=faults,
     )
-    env = server.env
-    arrivals = make_arrivals(
-        "poisson", RATE_RPS, server.streams.stream(f"arrivals/{spec.name}")
-    )
-    in_flight: List = []
-
-    def source(env):
-        for _ in range(N_REQUESTS):
-            yield env.timeout(arrivals.next_gap_ns())
-            request = server.make_request(spec)
-            in_flight.append((request, server.submit(request)))
-
-    src = env.process(source(env))
-
-    def watch(env):
-        yield src
-        yield env.all_of([process for _, process in in_flight])
-
-    env.run(until=env.process(watch(env)))
+    server = make_server(config)
+    in_flight = drive(server, [spec], config)
     return [r for r, _ in in_flight], server
 
 

@@ -191,35 +191,23 @@ def test_telemetry_does_not_change_results():
     """
     from repro.experiments.fig_faults import SCENARIOS
     from repro.obs import ObsConfig
-    from repro.server.machine import SimulatedServer
+    from repro.server.driver import RunConfig, drive, make_server
     from repro.workloads import social_network_services
-    from repro.workloads.arrivals import make_arrivals
 
     spec = next(s for s in social_network_services() if s.name == "StoreP")
 
     def run(obs):
-        server = SimulatedServer(
-            "accelflow", seed=7, faults=SCENARIOS["transient"], obs=obs
+        config = RunConfig(
+            "accelflow",
+            requests_per_service=60,
+            seed=7,
+            arrival_mode="poisson",
+            rate_rps=2000.0,
+            faults=SCENARIOS["transient"],
+            obs=obs,
         )
-        env = server.env
-        arrivals = make_arrivals(
-            "poisson", 2000.0, server.streams.stream(f"arrivals/{spec.name}")
-        )
-        in_flight = []
-
-        def source(env):
-            for _ in range(60):
-                yield env.timeout(arrivals.next_gap_ns())
-                request = server.make_request(spec)
-                in_flight.append((request, server.submit(request)))
-
-        src = env.process(source(env))
-
-        def watch(env):
-            yield src
-            yield env.all_of([p for _, p in in_flight])
-
-        env.run(until=env.process(watch(env)))
+        in_flight = drive(make_server(config), [spec], config)
+        assert all(r.completed for r, _ in in_flight)
         return [
             (r.latency_ns, r.error, r.timed_out, r.completed)
             for r, _ in in_flight

@@ -17,6 +17,7 @@ from repro.cluster.admission import AdmissionConfig
 from repro.obs import ObsConfig
 from repro.serve import Response, ServiceFacade, SimClock, build_scorecard
 from repro.serve.facade import CENSORED
+from repro.sim import Environment
 from repro.workloads import social_network_services
 
 
@@ -241,6 +242,33 @@ def test_paced_clock_advances_and_tracks_stats():
     stats = facade.clock.stats()
     assert stats["paced"] is True
     assert stats["wall_elapsed_s"] > 0.0
+
+
+def test_lagging_paced_clock_still_yields_to_the_loop():
+    # At this dilation the wall clock has always paid for the next
+    # target, as when the sim cannot keep up: every advance_to catches
+    # up at once. A loop of them (an open-loop injector) must still hand
+    # control back, or the stop timer below never gets to run.
+    env = Environment()
+    clock = SimClock(env, dilation=1e15)
+    stop = asyncio.Event()
+
+    async def inject():
+        for step in range(1, 100_001):
+            if stop.is_set():
+                return step
+            await clock.advance_to(step * 1e3)
+        raise AssertionError("advance_to never yielded to the event loop")
+
+    async def scenario():
+        task = asyncio.ensure_future(inject())
+        await asyncio.sleep(0.01)
+        stop.set()
+        return await task
+
+    steps = asyncio.run(scenario())
+    assert steps > 1
+    assert env.now == (steps - 1) * 1e3
 
 
 def test_clock_rejects_nonpositive_dilation():

@@ -37,7 +37,11 @@ def test_soak_smoke_sustains_two_wall_seconds():
     )
     out = io.StringIO()
     start = time.monotonic()
-    scorecard = asyncio.run(run_soak(services, facade, config, out=out))
+    # Bounded: a soak that stops handing control back to the loop must
+    # fail here, not hang the suite.
+    scorecard = asyncio.run(
+        asyncio.wait_for(run_soak(services, facade, config, out=out), 60.0)
+    )
     wall = time.monotonic() - start
 
     # The fleet was driven for the full wall-clock window.
