@@ -398,6 +398,50 @@ def test_interrupt_cancels_pending_store_get():
     assert list(store.items) == ["item"]
 
 
+def test_interrupt_withdraws_queued_resource_claim():
+    """Where a watchdog Interrupt lands on a process queued for a full
+    Resource: the claim leaves the wait queue, the process sees exactly
+    one Interrupt, and the freed server goes to the next live waiter."""
+    from repro.sim import Resource
+
+    env = Environment()
+    res = Resource(env, capacity=1)
+    log = []
+    claims = {}
+
+    def holder(env):
+        with res.request() as req:
+            yield req
+            yield env.timeout(5.0)
+
+    def waiter(env, name):
+        # No context manager: only the interrupt can withdraw the claim.
+        claims[name] = req = res.request()
+        try:
+            yield req
+            log.append((env.now, name, "granted"))
+        except Interrupt as interrupt:
+            log.append((env.now, name, interrupt.cause))
+            yield env.timeout(10.0)  # stays alive across the release
+
+    def watchdog(env, victim):
+        yield env.timeout(2.0)
+        victim.interrupt("watchdog")
+
+    env.process(holder(env))
+    victim = env.process(waiter(env, "victim"))
+    env.process(waiter(env, "next"))
+    env.process(watchdog(env, victim))
+    env.run(until=3.0)
+    assert claims["victim"] not in res.queue
+    assert list(res.queue) == [claims["next"]]
+    env.run()
+    assert log == [(2.0, "victim", "watchdog"), (5.0, "next", "granted")]
+    assert res.users == [claims["next"]]
+    assert not claims["victim"].triggered
+    assert not victim.is_alive
+
+
 def test_self_interrupt_rejected():
     env = Environment()
     errors = []
