@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..core.trace import ResolvedPath, ResolvedStep
+from ..hw.noc import MEMORY_ENDPOINT
 from ..hw.ops import QueueEntry
 from ..workloads.request import Buckets, Request
 from ..sim import Resource, Store
@@ -113,8 +114,6 @@ class HwManagerOrchestrator(Orchestrator):
         and the output is copied out to memory before the accelerator can
         take its next job (no local output buffering under centralized
         scheduling)."""
-        from ..hw.noc import MEMORY_ENDPOINT
-
         env = self.env
         with self.manager.request() as req:
             yield req
@@ -226,8 +225,6 @@ class HwManagerOrchestrator(Orchestrator):
     def _staged_transfer(self, request, step, entry, next_step):
         # The producer side already copied out to memory while the PE
         # retired (_retire); only the memory -> consumer leg remains.
-        from ..hw.noc import MEMORY_ENDPOINT
-
         env = self.env
         start = env.now
         yield env.process(

@@ -82,7 +82,12 @@ class TimeWeightedValue:
         self._last_change = now
 
     def add(self, delta: float, now: float) -> None:
-        self.set(self._value + delta, now)
+        # set(), unrolled: this runs on every busy/idle edge of the
+        # CPU, DMA and NoC models.
+        value = self._value
+        self._weighted_sum += value * (now - self._last_change)
+        self._value = value + delta
+        self._last_change = now
 
     def average(self, now: float) -> float:
         """Time-weighted average over [start_time, now]."""

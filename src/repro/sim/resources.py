@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from heapq import heappush
 from typing import List, Optional
 
-from .core import Environment, Event
+from .core import _PENDING, NORMAL, Environment, Event, _new
 
 __all__ = ["Resource", "PriorityResource", "Request", "Release", "Preempted"]
 
@@ -29,7 +30,8 @@ class Preempted(Exception):
 class Request(Event):
     """A pending or granted claim on a :class:`Resource`.
 
-    Usable as a context manager so the claim is always released::
+    Built only by :meth:`Resource.request`. Usable as a context manager
+    so the claim is always released::
 
         with resource.request() as req:
             yield req
@@ -38,22 +40,23 @@ class Request(Event):
 
     __slots__ = ("resource", "priority", "time", "key")
 
-    def __init__(self, resource: "Resource", priority: int = 0):
-        super().__init__(resource.env)
-        self.resource = resource
-        self.priority = priority
-        self.time = resource.env.now
-        resource._request(self)
-
     def __enter__(self) -> "Request":
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.cancel()
+        resource = self.resource
+        try:
+            resource.users.remove(self)
+        except ValueError:
+            # Not a user: withdraw from the wait queue if still there.
+            resource._dequeue(self)
+            return
+        if resource.queue:
+            resource._grant_next()
 
     def cancel(self) -> None:
         """Release the claim (or withdraw it if still queued)."""
-        self.resource._release(self)
+        self.__exit__(None, None, None)
 
 
 class Release(Event):
@@ -64,7 +67,7 @@ class Release(Event):
     def __init__(self, resource: "Resource", request: Request):
         super().__init__(resource.env)
         self.request = request
-        resource._release(request)
+        request.cancel()
         self.succeed()
 
 
@@ -92,31 +95,32 @@ class Resource:
 
     def request(self, priority: int = 0) -> Request:
         """Claim one server; the returned event triggers when granted."""
-        return Request(self, priority)
+        env = self.env
+        request = _new(Request)
+        request.env = env
+        request.callbacks = []
+        request._defused = False
+        request.resource = self
+        request.priority = priority
+        request.time = env._now
+        if len(self.users) < self._capacity:
+            # Uncontended: grant inline (Event.succeed, unrolled).
+            self.users.append(request)
+            request._value = None
+            env._eid += 1
+            heappush(env._queue, (env._now, NORMAL, env._eid, request))
+        else:
+            request._value = _PENDING
+            self._enqueue(request)
+        return request
 
     def release(self, request: Request) -> Release:
         """Release a previously granted claim."""
         return Release(self, request)
 
     # -- internal ---------------------------------------------------------
-    def _request(self, request: Request) -> None:
-        if len(self.users) < self._capacity:
-            self.users.append(request)
-            request.succeed()
-        else:
-            self._enqueue(request)
-
     def _enqueue(self, request: Request) -> None:
         self.queue.append(request)
-
-    def _release(self, request: Request) -> None:
-        try:
-            self.users.remove(request)
-        except ValueError:
-            # Not a user: withdraw from the wait queue if still there.
-            self._dequeue(request)
-            return
-        self._grant_next()
 
     def _dequeue(self, request: Request) -> None:
         try:
