@@ -8,6 +8,12 @@ of accelerator steps that will execute, with the branch/transform/ATM
 work each output dispatcher performs attached to the step that performs
 it. Orchestrators execute resolved paths; the resolution work itself is
 charged at the accelerators (on-the-fly semantics preserved).
+
+Resolution is memoized per trace: a trace has at most one path per
+combination of the fields its conditions read, so every request with
+the same values of those fields gets the same, shared
+:class:`ResolvedPath` object. Resolved paths and their steps are
+therefore read-only once :meth:`Trace.resolve` returns them.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from ..hw.params import AcceleratorKind
 from .nodes import (
     AccelStep,
     AtmLinkNode,
+    BranchCondition,
     BranchNode,
     NotifyNode,
     ParallelNode,
@@ -37,6 +44,9 @@ class ResolvedStep:
     dispatcher* does once the PE finishes (Figure 8): resolving branch
     conditions, transforming data formats, reading the next trace from
     the ATM, or notifying the initiating CPU core.
+
+    Steps reached through :meth:`Trace.resolve` are shared by every
+    request that takes the same path: never assign to them.
     """
 
     __slots__ = (
@@ -75,7 +85,12 @@ class ResolvedStep:
 
 
 class ResolvedPath:
-    """The concrete accelerator sequence a request will follow."""
+    """The concrete accelerator sequence a request will follow.
+
+    Paths returned by :meth:`Trace.resolve` are memoized and shared:
+    never assign to one or mutate its ``steps`` or fanout lists. Cost
+    tables may key on a path object (see :class:`repro.workloads.CostModel`).
+    """
 
     __slots__ = ("steps", "next_trace", "notified", "error")
 
@@ -133,6 +148,12 @@ class Trace:
         self.name = name
         self.nodes: List[TraceNode] = list(nodes)
         self._validate(self.nodes, top_level=True)
+        #: The payload fields any branch condition reads; their truth
+        #: values are the key of the resolution memo.
+        self._fields: Tuple[str, ...] = tuple(sorted(
+            {field for cond in self._branch_conditions() for field in cond.fields}
+        ))
+        self._resolved: Dict[Tuple[bool, ...], ResolvedPath] = {}
 
     # -- validation --------------------------------------------------------
     def _validate(self, nodes: Sequence[TraceNode], top_level: bool) -> None:
@@ -172,8 +193,18 @@ class Trace:
 
     # -- resolution ----------------------------------------------------------
     def resolve(self, state: Optional[Dict[str, bool]] = None) -> ResolvedPath:
-        """Resolve control flow against a request's payload fields."""
+        """Resolve control flow against a request's payload fields.
+
+        Memoized on the truth of the fields the conditions read (a
+        missing field reads as False, as in
+        :meth:`~repro.core.nodes.BranchCondition.evaluate`): equal
+        states return the same shared, read-only path.
+        """
         state = state or {}
+        key = tuple(map(bool, map(state.get, self._fields)))
+        path = self._resolved.get(key)
+        if path is not None:
+            return path
         steps: List[ResolvedStep] = []
         path = ResolvedPath(steps, next_trace=None, notified=False, error=False)
         ended = self._walk(self.nodes, state, steps, path, attach=None)
@@ -182,6 +213,7 @@ class Trace:
             # dispatcher deposits results and notifies the CPU core.
             steps[-1].notify_after = True
             path.notified = True
+        self._resolved[key] = path
         return path
 
     def _walk(
@@ -256,16 +288,19 @@ class Trace:
     # -- static analysis -------------------------------------------------------
     def conditions(self) -> Set[str]:
         """Names of all branch conditions anywhere in the trace."""
-        found: Set[str] = set()
+        return {condition.name for condition in self._branch_conditions()}
+
+    def _branch_conditions(self) -> Set[BranchCondition]:
+        found: Set[BranchCondition] = set()
         self._collect_conditions(self.nodes, found)
         return found
 
     def _collect_conditions(
-        self, nodes: Sequence[TraceNode], found: Set[str]
+        self, nodes: Sequence[TraceNode], found: Set[BranchCondition]
     ) -> None:
         for node in nodes:
             if isinstance(node, BranchNode):
-                found.add(node.condition.name)
+                found.add(node.condition)
                 self._collect_conditions(node.on_true, found)
                 self._collect_conditions(node.on_false, found)
             elif isinstance(node, ParallelNode):

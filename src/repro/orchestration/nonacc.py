@@ -31,21 +31,20 @@ class NonAcceleratedOrchestrator(Orchestrator):
         state: Dict[str, bool],
         initiated_by_core: bool = False,
     ):
-        env = self.env
-        kinds = path.kinds()
-        if kinds:
-            duration = self.cost_model.software_chain_ns(
-                request.spec, kinds, request.wire_size
+        steps = path.steps
+        if not steps:
+            return StepOutcome.OK
+        duration = self.cost_model.software_path_ns(
+            request.spec, path, request.wire_size
+        )
+        yield from self._run_on_core(request, duration)
+        request.accelerator_ops += len(steps)
+        fanout = steps[-1].fanout
+        if fanout:
+            env = self.env
+            yield env.all_of(
+                [env.process(self._run_arm(request, arm, state)) for arm in fanout]
             )
-            yield from self._run_on_core(request, duration)
-            request.accelerator_ops += len(kinds)
-        last = path.steps[-1] if path.steps else None
-        if last is not None and last.fanout:
-            arms = [
-                env.process(self._run_arm(request, arm, state))
-                for arm in last.fanout
-            ]
-            yield env.all_of(arms)
         return StepOutcome.OK
 
     def after_step(

@@ -95,6 +95,7 @@ class SimulatedServer:
         if self.orchestrator.recovery is not None:
             self.orchestrator.recovery.bus = self.bus
         self.branch_probs = branch_probs or BranchProbabilities()
+        self._field_probs = tuple(self.branch_probs.as_dict().items())
         self._field_stream = self.streams.stream("fields")
         self._payload_models: Dict[str, PayloadModel] = {}
         self._inflight = 0
@@ -163,10 +164,8 @@ class SimulatedServer:
 
     def make_request(self, spec: ServiceSpec) -> Request:
         """Sample a new request: payload fields + wire size."""
-        probs = self.branch_probs.as_dict()
-        state = {
-            field: self._field_stream.bernoulli(p) for field, p in probs.items()
-        }
+        bernoulli = self._field_stream.bernoulli
+        state = {field: bernoulli(p) for field, p in self._field_probs}
         wire_size = self._payload_model(spec).sample_wire_size()
         return Request(
             spec,

@@ -1,9 +1,12 @@
 """Unit tests for trace construction and resolution."""
 
+import itertools
+
 import pytest
 
 from repro.core import (
     Trace,
+    TraceRegistry,
     TraceValidationError,
     atm_link,
     branch,
@@ -12,7 +15,12 @@ from repro.core import (
     seq,
     trans,
 )
+from repro.core.nodes import BranchNode, ParallelNode
+from repro.core.templates import standard_trace_set
 from repro.hw import AcceleratorKind
+from repro.orchestration import LADDER_VARIANTS
+from repro.server import RunConfig, run_experiment
+from repro.workloads import social_network_services
 
 K = AcceleratorKind
 
@@ -270,3 +278,119 @@ class TestStaticAnalysis:
             name="t",
         )
         assert trace.max_accelerators() == 3
+
+
+# ---------------------------------------------------------------------------
+# Memoized resolution
+# ---------------------------------------------------------------------------
+
+
+def _condition_fields(nodes):
+    """Payload fields read by any branch condition under ``nodes``."""
+    fields = set()
+    for node in nodes:
+        if isinstance(node, BranchNode):
+            fields.update(node.condition.fields)
+            fields |= _condition_fields(node.on_true)
+            fields |= _condition_fields(node.on_false)
+        elif isinstance(node, ParallelNode):
+            for arm in node.arms:
+                fields |= _condition_fields(arm)
+    return fields
+
+
+def _describe(path):
+    """Everything a resolved path says, fanout arms included."""
+    steps = tuple(
+        (
+            step.kind,
+            step.branches_after,
+            step.transforms_after,
+            step.atm_read_after,
+            step.notify_after,
+            step.error_notify,
+            tuple(_describe(arm) for arm in step.fanout),
+        )
+        for step in path.steps
+    )
+    return steps, path.next_trace, path.notified, path.error
+
+
+def _catalogue():
+    """The standard traces plus the subtraces the registry splits off."""
+    traces = dict(standard_trace_set())
+    for trace in TraceRegistry.with_standard_templates().traces():
+        traces.setdefault(trace.name, trace)
+    return sorted(traces.values(), key=lambda t: t.name)
+
+
+def _field_states(fields):
+    """Every combination of ``fields``, each in three spellings that
+    must resolve alike: exact, with unrelated extra fields, and with
+    the False fields left out."""
+    for combo in itertools.product((False, True), repeat=len(fields)):
+        exact = dict(zip(fields, combo))
+        yield [
+            exact,
+            {**exact, "unrelated": True, "also_unrelated": False},
+            {field: True for field, value in exact.items() if value},
+        ]
+
+
+class TestMemoizedResolution:
+    @pytest.mark.parametrize("trace", _catalogue(), ids=lambda t: t.name)
+    def test_matches_an_uncached_walk(self, trace):
+        fields = sorted(_condition_fields(trace.nodes))
+        for spellings in _field_states(fields):
+            shared = trace.resolve(spellings[0])
+            for state in spellings:
+                # A fresh Trace has an empty memo, so it walks the nodes.
+                walked = Trace(trace.name, trace.nodes).resolve(state)
+                assert _describe(trace.resolve(state)) == _describe(walked)
+                assert trace.resolve(state) is shared
+
+    @pytest.mark.parametrize("trace", _catalogue(), ids=lambda t: t.name)
+    def test_no_state_reads_every_field_as_false(self, trace):
+        falses = {field: False for field in _condition_fields(trace.nodes)}
+        assert trace.resolve() is trace.resolve({}) is trace.resolve(falses)
+
+    def test_distinct_field_values_resolve_apart(self):
+        trace = TestBranchResolution().make_t1_like()
+        taken = trace.resolve({"compressed": True})
+        skipped = trace.resolve({"compressed": False})
+        assert taken is not skipped
+        assert trace.resolve({"compressed": 1}) is taken
+
+    def test_shared_paths_unchanged_by_every_architecture(self):
+        """Resolved paths are shared and read-only: snapshot every path
+        of every trace, run each orchestrator over one registry, and
+        find every snapshot untouched."""
+        registry = TraceRegistry.with_standard_templates()
+        snapshot = {
+            (trace.name, tuple(sorted(state.items()))): (path, _describe(path))
+            for trace in registry.traces()
+            for state, path in trace.all_paths()
+        }
+        architectures = [
+            "accelflow", *sorted(LADDER_VARIANTS), "cohort", "cpu-centric",
+            "non-acc",
+        ]
+        for architecture in architectures:
+            result = run_experiment(
+                social_network_services(),
+                RunConfig(
+                    architecture,
+                    requests_per_service=12,
+                    arrival_mode="poisson",
+                    rate_rps=4000.0,
+                    colocated=True,
+                    registry=registry,
+                ),
+            )
+            assert result.total_completed() > 0
+        for trace in registry.traces():
+            for state, path in trace.all_paths():
+                key = (trace.name, tuple(sorted(state.items())))
+                before, description = snapshot[key]
+                assert path is before
+                assert _describe(path) == description

@@ -1,12 +1,19 @@
 """Tests for the cost model, payload model and arrival generators."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import TraceRegistry
 from repro.hw import AcceleratorKind
 from repro.hw.params import PROCESSOR_GENERATIONS
 from repro.sim import RandomStreams
 from repro.workloads import (
+    CATEGORY_OF_KIND,
+    SIZE_FACTORS,
+    BranchProbabilities,
     ClosedBatch,
     CostModel,
     CpuSegment,
@@ -15,7 +22,15 @@ from repro.workloads import (
     PoissonArrivals,
     TaxCategory,
     count_ops_by_category,
+    expand_chain,
+    hotel_reservation_services,
+    media_services,
+    relief_suite_registry,
+    relief_suite_services,
+    serverless_functions,
     social_network_services,
+    train_ticket_services,
+    usuite_services,
 )
 
 K = AcceleratorKind
@@ -95,6 +110,111 @@ class TestCostModel:
             spec, [K.TCP, K.TCP], int(spec.wire_median_bytes)
         )
         assert chain == pytest.approx(2 * single, rel=0.02)
+
+
+#: (registry, service) for every service of every suite.
+SUITE_SERVICES = [
+    (REGISTRY, spec)
+    for suite in (
+        social_network_services,
+        hotel_reservation_services,
+        media_services,
+        train_ticket_services,
+        usuite_services,
+        serverless_functions,
+    )
+    for spec in suite()
+]
+_RELIEF_REGISTRY = relief_suite_registry()
+SUITE_SERVICES += [(_RELIEF_REGISTRY, spec) for spec in relief_suite_services()]
+GENERATIONS = [None, *PROCESSOR_GENERATIONS.values()]
+
+
+def _seed_base_op_ns(registry, spec, kind, generation):
+    """CostModel.base_op_time_ns before the cost tables, written out."""
+    counts = count_ops_by_category(registry, spec)
+    per_op = {}
+    for category in TaxCategory.TAX:
+        count = counts[category]
+        category_ns = spec.category_time_ns(category)
+        per_op[category] = category_ns / count if count else 0.0
+    tax_scale = generation.tax_scale if generation else 1.0
+    return per_op[CATEGORY_OF_KIND[kind]] * tax_scale
+
+
+def _seed_size_scale(spec, wire_size):
+    ratio = wire_size / spec.wire_median_bytes
+    return min(CostModel.MAX_SIZE_SCALE, max(CostModel.MIN_SIZE_SCALE, ratio))
+
+
+def _seed_chain_ns(registry, spec, kinds, wire_size, generation):
+    return sum(
+        _seed_base_op_ns(registry, spec, kind, generation)
+        * _seed_size_scale(spec, wire_size)
+        for kind in kinds
+    )
+
+
+def _seed_segment_ns(spec, segment, generation):
+    weights = [s.weight for s in spec.path if isinstance(s, CpuSegment)]
+    app_logic_ns = spec.total_time_ns * spec.fractions[TaxCategory.APP_LOGIC]
+    app_scale = generation.app_logic_scale if generation else 1.0
+    return app_logic_ns * segment.weight / sum(weights) * app_scale
+
+
+def _service_paths(registry, spec):
+    """Every resolved path a service's chains can take, fanout arms too."""
+    fields = sorted(BranchProbabilities().as_dict())
+    paths = {}
+    for invocation in spec.trace_invocations():
+        for values in itertools.product((False, True), repeat=len(fields)):
+            state = {**dict(zip(fields, values)), **invocation.forced}
+            pending = expand_chain(registry, invocation, state)
+            while pending:
+                path = pending.pop()
+                paths[id(path)] = path
+                pending.extend(path.fanout_paths())
+    return list(paths.values())
+
+
+class TestCostTablesMatchTheFormulas:
+    """The per-service cost tables return, bit for bit, what the
+    formulas they replace compute: each term is ``base * size_scale``,
+    summed left to right. Reassociating any of it fails here."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        service=st.sampled_from(SUITE_SERVICES),
+        generation=st.sampled_from(GENERATIONS),
+        wire_size=st.integers(128, 65536),
+        kinds=st.lists(st.sampled_from(list(K)), max_size=12),
+    )
+    def test_bit_identical(self, service, generation, wire_size, kinds):
+        registry, spec = service
+        model = CostModel(registry, generation=generation)
+        for kind in K:
+            op = model.op_for(spec, kind, wire_size)
+            in_factor, out_factor = SIZE_FACTORS[kind]
+            assert op.cpu_time_ns == _seed_base_op_ns(
+                registry, spec, kind, generation
+            ) * _seed_size_scale(spec, wire_size)
+            assert op.data_in == max(1, int(wire_size * in_factor))
+            assert op.data_out == max(1, int(wire_size * out_factor))
+        assert model.software_chain_ns(spec, kinds, wire_size) == _seed_chain_ns(
+            registry, spec, kinds, wire_size, generation
+        )
+        # The second size reads the tables the first one built.
+        for size in (wire_size, wire_size // 3 + 100):
+            for path in _service_paths(registry, spec):
+                kinds = path.kinds()
+                expected = _seed_chain_ns(registry, spec, kinds, size, generation)
+                assert model.software_path_ns(spec, path, size) == expected
+                assert model.software_chain_ns(spec, kinds, size) == expected
+        for segment in spec.path:
+            if isinstance(segment, CpuSegment):
+                assert model.cpu_segment_ns(spec, segment) == _seed_segment_ns(
+                    spec, segment, generation
+                )
 
 
 class TestPayloadModel:
