@@ -25,7 +25,7 @@ from ..server import (
 )
 from ..sim import derive_seed
 from ..workloads import social_network_services
-from .common import format_table, pick_service, requests_for
+from .common import format_table, pick_service, requests_for, signed_pct
 from .parallel import Shard, ShardedExperiment
 
 __all__ = ["run_glue", "run_utilization", "run_energy", "run_events"]
@@ -211,7 +211,8 @@ def _energy_merge(payloads: Dict, scale: str, seed: int) -> Dict:
         title="VII.B.5: energy and performance per watt",
     )
     table += (
-        f"\n\nAccelFlow energy/request vs Non-acc: -{savings:.1f}% (paper: -74%)"
+        f"\n\nAccelFlow energy/request vs Non-acc: {signed_pct(-savings)} "
+        "(paper: -74%)"
         f"\nperf/W: {ppw_vs_nonacc:.1f}x Non-acc (paper 7.2x), "
         f"{ppw_vs_relief:.1f}x RELIEF (paper 2.1x)"
     )

@@ -19,6 +19,7 @@ __all__ = [
     "requests_for",
     "format_table",
     "pct_reduction",
+    "signed_pct",
     "pick_service",
     "MAIN_ARCHITECTURES",
     "LADDER",
@@ -102,3 +103,15 @@ def pct_reduction(baseline: float, improved: float) -> float:
     if baseline <= 0:
         return 0.0
     return 100.0 * (1.0 - improved / baseline)
+
+
+def signed_pct(change: float, digits: int = 1) -> str:
+    """A percentage change with exactly one sign: ``-51.6%``, ``+1.0%``.
+
+    A change that rounds to zero prints ``+0.0%``, never ``-0.0%``. Show
+    a reduction ``r`` as the change ``-r``.
+    """
+    text = f"{change:+.{digits}f}%"
+    if text[0] == "-" and not float(text[1:-1]):
+        return "+" + text[1:]
+    return text

@@ -15,7 +15,7 @@ from typing import Dict, List
 from ..server import RunConfig, run_experiment
 from ..sim import derive_seed
 from ..workloads import social_network_services
-from .common import LADDER, format_table, pct_reduction, requests_for
+from .common import LADDER, format_table, pct_reduction, requests_for, signed_pct
 from .parallel import Shard, ShardedExperiment
 
 __all__ = ["run", "PAPER_CUMULATIVE_REDUCTIONS"]
@@ -72,8 +72,8 @@ def merge(payloads: Dict, scale: str, seed: int) -> Dict:
             [
                 arch,
                 p99[arch] / 1000.0,
-                f"-{reduction:.1f}%",
-                f"-{PAPER_CUMULATIVE_REDUCTIONS.get(arch, 0.0)}%",
+                signed_pct(-reduction),
+                signed_pct(-PAPER_CUMULATIVE_REDUCTIONS.get(arch, 0.0)),
             ]
         )
     table = format_table(

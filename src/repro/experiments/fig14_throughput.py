@@ -15,7 +15,7 @@ from ..hw import QueuePolicy
 from ..server import max_throughput_search, run_unloaded
 from ..sim import derive_seed
 from ..workloads import social_network_services
-from .common import format_table, pick_service, requests_for
+from .common import format_table, pick_service, requests_for, signed_pct
 from .parallel import Shard, ShardedExperiment
 
 __all__ = ["run"]
@@ -184,7 +184,7 @@ def merge(
         )
         if "ideal" in means and means["ideal"] > 0:
             gap = 100.0 * (1 - means["accelflow"] / means["ideal"])
-            table += f"\nAccelFlow within {gap:.1f}% of Ideal (paper: 8.0%)"
+            table += f"\nAccelFlow within {signed_pct(gap)} of Ideal (paper: 8.0%)"
     if edf_gain is not None:
         table += f"\nEDF scheduling throughput gain: {edf_gain:.2f}x (paper: 1.6x)"
     return {

@@ -14,7 +14,7 @@ from ..hw import MachineParams
 from ..server import RunConfig, run_experiment
 from ..sim import derive_seed
 from ..workloads import social_network_services
-from .common import format_table, pct_reduction, requests_for
+from .common import format_table, pct_reduction, requests_for, signed_pct
 from .parallel import Shard, ShardedExperiment
 
 __all__ = ["run", "CHIPLET_COUNTS"]
@@ -53,7 +53,7 @@ def merge(
 
     rows = [
         [f"{chiplets}-chiplet", p99[chiplets] / 1000.0,
-         f"{-pct_reduction(p99[2], p99[chiplets]):+.1f}%"]
+         signed_pct(-pct_reduction(p99[2], p99[chiplets]))]
         for chiplets in CHIPLET_COUNTS
     ]
     table = format_table(

@@ -14,7 +14,7 @@ from ..hw import MachineParams
 from ..server import RunConfig, run_experiment
 from ..sim import derive_seed
 from ..workloads import social_network_services
-from .common import format_table, pct_reduction, requests_for
+from .common import format_table, pct_reduction, requests_for, signed_pct
 from .parallel import Shard, ShardedExperiment
 
 __all__ = ["run", "PE_COUNTS"]
@@ -62,7 +62,7 @@ def merge(
         [
             f"{pes} PEs",
             p99[pes] / 1000.0,
-            f"{-pct_reduction(p99[8], p99[pes]):+.1f}%",
+            signed_pct(-pct_reduction(p99[8], p99[pes])),
             f"{fallback_fraction[pes] * 100:.1f}%",
         ]
         for pes in PE_COUNTS

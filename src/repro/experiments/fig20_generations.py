@@ -15,7 +15,7 @@ from ..hw import MachineParams
 from ..server import RunConfig, run_experiment
 from ..sim import derive_seed
 from ..workloads import social_network_services
-from .common import format_table, pct_reduction, requests_for
+from .common import format_table, pct_reduction, requests_for, signed_pct
 from .parallel import Shard, ShardedExperiment
 
 __all__ = ["run", "GENERATIONS", "ARCHITECTURES"]
@@ -67,7 +67,7 @@ def merge(payloads: Dict, scale: str, seed: int) -> Dict:
     }
     rows.append(
         ["AccelFlow vs RELIEF"]
-        + [f"-{reductions[gen]:.1f}%" for gen in GENERATIONS]
+        + [signed_pct(-reductions[gen]) for gen in GENERATIONS]
     )
     table = format_table(
         ["Architecture"] + GENERATIONS,

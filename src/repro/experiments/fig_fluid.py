@@ -26,7 +26,7 @@ from typing import Dict, List
 from ..cluster import FLUID_TOLERANCES, ClusterConfig, FluidConfig, run_cluster
 from ..sim import derive_seed
 from ..workloads import social_network_services
-from .common import format_table, pick_service, requests_for
+from .common import format_table, pick_service, requests_for, signed_pct
 
 from .parallel import Shard, ShardedExperiment
 
@@ -115,8 +115,8 @@ def merge(payloads: Dict, scale: str, seed: int) -> Dict:
             f"{load / 1000:g}K",
             exact["mean_ns"] / 1000.0,
             fluid["mean_ns"] / 1000.0,
-            f"{100.0 * mean_err:+.1f}%",
-            f"{100.0 * work_err:+.2f}%",
+            signed_pct(100.0 * mean_err),
+            signed_pct(100.0 * work_err, digits=2),
             f"{100.0 * fluid['fluid_fraction']:.0f}%",
             f"{reduction:.2f}x",
         ])

@@ -17,7 +17,7 @@ from ..hw import MachineParams
 from ..server import RunConfig, run_experiment
 from ..sim import derive_seed
 from ..workloads import social_network_services
-from .common import format_table, pct_reduction, requests_for
+from .common import format_table, pct_reduction, requests_for, signed_pct
 from .parallel import Shard, ShardedExperiment
 
 __all__ = ["run_interchiplet", "run_speedups", "run_adaptive",
@@ -76,7 +76,7 @@ def _interchiplet_merge(payloads: Dict, scale: str, seed: int) -> Dict:
         title="VII.C.2: mean P99 (us) vs inter-chiplet latency",
     )
     table += (
-        f"\n\n6-chiplet, 60 -> 100 cycles: {increase:+.1f}% (paper: +45%)"
+        f"\n\n6-chiplet, 60 -> 100 cycles: {signed_pct(increase)} (paper: +45%)"
     )
     return {"p99_ns": p99, "increase_6c_60_to_100_pct": increase, "table": table}
 

@@ -52,6 +52,22 @@ class TestFormatting:
         assert common.pct_reduction(100.0, 25.0) == pytest.approx(75.0)
         assert common.pct_reduction(0.0, 10.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "change, digits, text",
+        [
+            (-51.64, 1, "-51.6%"),
+            (1.0, 1, "+1.0%"),
+            (-(-1.0), 1, "+1.0%"),  # a negative reduction, not "--1.0%"
+            (0.0, 1, "+0.0%"),
+            (-0.0, 1, "+0.0%"),
+            (-0.04, 1, "+0.0%"),
+            (-0.04, 2, "-0.04%"),
+            (-0.004, 2, "+0.00%"),
+        ],
+    )
+    def test_signed_pct_prints_exactly_one_sign(self, change, digits, text):
+        assert common.signed_pct(change, digits=digits) == text
+
 
 class TestCheapExperiments:
     def test_table4_exact_reproduction(self):
