@@ -91,3 +91,27 @@ def test_streaming_telemetry_overhead():
     assert ratio < MAX_TELEMETRY_SLOWDOWN, (
         f"streaming telemetry slowed the simulator by {ratio:.2f}x"
     )
+
+
+def test_tracing_overhead():
+    """Trace-only and trace-plus-telemetry vs all-off.
+
+    With tracing on, the session's bus carries every fact and the
+    tracer draws its instants from it; spans stream onto the bus only
+    with telemetry on. Both regimes are gated at the telemetry gate's
+    documented multiple.
+    """
+    off = _median_runtime(obs=ObsConfig())
+    traced = _median_runtime(obs=ObsConfig(trace=True))
+    both = _median_runtime(obs=ObsConfig(trace=True, telemetry=True))
+    print(
+        f"\ntracing overhead: off {off * 1e3:.1f} ms, "
+        f"trace {traced * 1e3:.1f} ms (ratio {traced / off:.3f}), "
+        f"trace+telemetry {both * 1e3:.1f} ms (ratio {both / off:.3f})"
+    )
+    assert traced / off < MAX_TELEMETRY_SLOWDOWN, (
+        f"tracing slowed the simulator by {traced / off:.2f}x"
+    )
+    assert both / off < MAX_TELEMETRY_SLOWDOWN, (
+        f"tracing plus telemetry slowed the simulator by {both / off:.2f}x"
+    )

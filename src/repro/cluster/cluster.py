@@ -15,8 +15,9 @@ full :class:`~repro.server.SimulatedServer` seeded independently via
 A reactive :class:`~repro.cluster.autoscaler.Autoscaler` may grow and
 drain the fleet from the observed load signal, and scheduled
 :class:`MachineFailure` events kill machines mid-run. Cluster-level
-observability (fleet gauges, control-plane spans) plugs into the same
-:class:`~repro.obs.ObsConfig` switchboard as everything else.
+observability (fleet gauges, control-plane facts on the telemetry bus)
+plugs into the same :class:`~repro.obs.ObsConfig` switchboard as
+everything else.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..obs import MetricsRegistry, SpanTracer
+from ..obs import MetricsRegistry
 from ..obs.telemetry import AdmissionEvent, FaultInjected, Marker, RequestEnd
 from ..server.machine import SimulatedServer
 from ..sim import Environment, Interrupt, Process, RandomStreams, derive_seed
@@ -110,15 +111,13 @@ class SimulatedCluster:
         self.machines_failed = 0
         self.peak_machines = 0
 
-        # Cluster-level observability: fleet gauges, control-plane spans,
-        # and (when enabled) the streaming telemetry plane.
-        self.tracer: Optional[SpanTracer] = None
+        # Cluster-level observability: fleet gauges, and the bus that
+        # carries control-plane facts (a session tracer draws them).
         self.metrics: Optional[MetricsRegistry] = None
         self.bus = None
         obs = config.obs
         if obs is not None:
             session = obs.make_session(self.env)
-            self.tracer = session.tracer
             self.metrics = session.registry
             self.bus = session.bus
 
@@ -161,12 +160,6 @@ class SimulatedCluster:
         self.peak_machines = max(
             self.peak_machines, len(self.active_machines())
         )
-        if self.tracer is not None:
-            self.tracer.instant(
-                "machine-added",
-                "cluster",
-                args={"machine": index, "warmup_ns": warmup_ns},
-            )
         if self.bus is not None:
             self.bus.publish(
                 Marker(
@@ -188,10 +181,6 @@ class SimulatedCluster:
             return None
         victim = min(candidates, key=lambda m: (m.outstanding_count, -m.index))
         victim.drain()
-        if self.tracer is not None:
-            self.tracer.instant(
-                "machine-drained", "cluster", args={"machine": victim.index}
-            )
         if self.bus is not None:
             self.bus.publish(
                 Marker(
@@ -211,12 +200,6 @@ class SimulatedCluster:
         self.machines_failed += 1
         if self.fluid is not None:
             self.fluid.on_machine_failed(machine)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "machine-failure",
-                "cluster",
-                args={"machine": index, "inflight": victims},
-            )
         if self.bus is not None:
             self.bus.publish(
                 FaultInjected(
@@ -341,10 +324,6 @@ class SimulatedCluster:
             decision = self.admission.decide(request)
             if decision == AdmissionDecision.SHED:
                 self.shed += 1
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "shed", "cluster", args={"service": request.spec.name}
-                    )
                 if self.bus is not None:
                     self.bus.publish(
                         AdmissionEvent(

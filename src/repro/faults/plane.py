@@ -33,14 +33,12 @@ class FaultPlane:
         env: Environment,
         config: FaultConfig,
         streams: RandomStreams,
-        tracer=None,
     ):
         config.validate()
         self.env = env
         self.config = config
-        self.tracer = tracer
         #: Optional :class:`repro.obs.TelemetryBus`; every injection is
-        #: additionally published as a ``FaultInjected`` event.
+        #: published on it as a ``FaultInjected`` event.
         self.bus = None
         self._pe_stream = streams.stream("faults/pe")
         self._pe_sched_stream = streams.stream("faults/pe-sched")
@@ -120,10 +118,8 @@ class FaultPlane:
             self.gray.attach(hardware)
 
     def emit(self, name: str, args: Optional[dict] = None) -> None:
-        """Record a fault event: an instant span on the faults track,
-        and a ``FaultInjected`` telemetry event when a bus is attached."""
-        if self.tracer is not None:
-            self.tracer.instant(name, "faults", args=args)
+        """Publish a fault as a ``FaultInjected`` event when a bus is
+        attached (a session tracer draws it on its faults track)."""
         if self.bus is not None:
             from ..obs.telemetry import FaultInjected
 

@@ -4,7 +4,9 @@ Post-hoc layers, all opt-in through one :class:`ObsConfig` object:
 
 * :class:`SpanTracer` records each sampled request's lifecycle (queue
   waits, PE execution, dispatcher work, DTE transforms, ATM reads, DMA
-  hand-offs, notifications) as spans with nanosecond sim-timestamps.
+  hand-offs, notifications) as spans with nanosecond sim-timestamps,
+  and draws the facts published on the session's bus (fleet markers,
+  faults, recoveries, alerts) as instants on per-type tracks.
   Export with :func:`chrome_trace` / :func:`write_chrome_trace`
   (``chrome://tracing`` / Perfetto compatible) or render in a terminal
   with :func:`render_timeline`.
@@ -17,12 +19,13 @@ Post-hoc layers, all opt-in through one :class:`ObsConfig` object:
 The *streaming* plane (``ObsConfig(telemetry=True, ...)``) layers live
 consumers over the same producers:
 
-* :class:`TelemetryBus` — bounded pub/sub ring; spans, metric samples,
-  fault injections, recovery events and request terminals are published
-  as they happen in sim time.
+* :class:`TelemetryBus` — bounded pub/sub ring and the one
+  instrumentation spine; spans, metric samples, fault injections,
+  recovery events and request terminals are published as they happen
+  in sim time, each fact once.
 * :class:`SLOMonitor` — multi-window burn-rate alerting over
   per-service availability/latency targets (:class:`SLOTarget`,
-  :class:`SLOMonitorConfig`), with alert lifecycle spans.
+  :class:`SLOMonitorConfig`), publishing each alert transition.
 * :class:`FlightRecorder` — ring-buffered incident bundles captured on
   alert-fire / breaker-open / watchdog-timeout, plus the fault→breach
   correlation table.
@@ -34,7 +37,7 @@ at each instrumentation point.
 """
 
 from .config import ObsConfig, ObsSession
-from .export import chrome_trace, write_chrome_trace
+from .export import chrome_trace, trace_from_spans, write_chrome_trace
 from .metrics import MetricsRegistry, TimeSeries
 from .profiling import format_profile
 from .recorder import FlightRecorder
@@ -96,5 +99,6 @@ __all__ = [
     "chrome_trace",
     "format_profile",
     "render_timeline",
+    "trace_from_spans",
     "write_chrome_trace",
 ]

@@ -16,16 +16,20 @@ Dedicated-mode experiments create one server per service; each server
 appends its own session, and the ``tracer``/``registry``/``bus``
 shortcuts return the most recent one.
 
-The streaming plane (``telemetry``/``slo``/``flight_recorder``) rides
-the same opt-in contract: nothing is constructed and no event is
-published unless ``telemetry`` is True, so disabled runs stay
+Every fact (fleet markers, admission and health decisions, fault
+injections, recovery events, alert transitions) is published once on
+the session's telemetry bus, which exists whenever tracing or the
+streaming plane (``telemetry``/``slo``/``flight_recorder``) is on; the
+tracer draws those facts from the bus. Spans and metric samples stream
+onto the bus only when the streaming plane is on. With everything off
+nothing is constructed and nothing is published, so disabled runs stay
 byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from .metrics import MetricsRegistry
 from .recorder import FlightRecorder
@@ -56,30 +60,21 @@ class ObsConfig:
     trace: bool = False
     #: Fraction of requests traced, per service (stride sampling).
     sample_rate: float = 1.0
-    #: Only trace these services (None = all).
-    trace_services: Optional[Sequence[str]] = None
     #: Span memory bound; beyond it spans are dropped (and counted).
     max_spans: int = 200_000
     #: Run the periodic time-series sampler.
     metrics: bool = False
     #: Sampling period of the metrics process (sim ns).
     metrics_interval_ns: float = 1e6
-    #: Ring-buffer capacity per time series (also the sampler's tick
-    #: budget, so a bare ``env.run()`` still terminates).
-    metrics_capacity: int = 1024
     #: Enable :class:`repro.sim.Environment` kernel profiling.
     profile_kernel: bool = False
-    #: Run the streaming telemetry bus (spans, metrics, faults,
-    #: request terminals published live).
+    #: Run the streaming plane: spans and metric samples stream onto
+    #: the bus too.
     telemetry: bool = False
-    #: Event-ring capacity of the bus.
-    telemetry_capacity: int = 4096
     #: Attach a burn-rate SLO monitor to the bus (implies telemetry).
     slo: Optional[SLOMonitorConfig] = None
     #: Attach an incident flight recorder to the bus (implies telemetry).
     flight_recorder: bool = False
-    #: Event-ring capacity of the flight recorder.
-    recorder_capacity: int = 2048
     #: Sessions registered by the servers that used this config.
     sessions: List[ObsSession] = field(default_factory=list, repr=False)
 
@@ -100,42 +95,39 @@ class ObsConfig:
         """Build the runtime objects for one server/cluster and register
         them as a new session.
 
-        The flight recorder subscribes before the SLO monitor so an
-        ``AlertFired`` published mid-dispatch still lands in the
-        recorder's ring before the recorder's own trigger handling runs.
+        The tracer subscribes first, so an instant it draws from a fact
+        (and streams as ``SpanEnd``) reaches the flight recorder before
+        the fact itself triggers a capture. The flight recorder
+        subscribes before the SLO monitor so an ``AlertFired`` published
+        mid-dispatch still lands in the recorder's ring before the
+        recorder's own trigger handling runs.
         """
         if self.profile_kernel:
             env.enable_profiling()
         tracer = (
-            SpanTracer(
-                env,
-                sample_rate=self.sample_rate,
-                services=self.trace_services,
-                max_spans=self.max_spans,
-            )
+            SpanTracer(env, sample_rate=self.sample_rate, max_spans=self.max_spans)
             if self.trace
             else None
         )
         registry = (
-            MetricsRegistry(
-                env,
-                interval_ns=self.metrics_interval_ns,
-                capacity=self.metrics_capacity,
-            )
+            MetricsRegistry(env, interval_ns=self.metrics_interval_ns)
             if self.metrics
             else None
         )
         bus = slo_monitor = recorder = None
+        if self.trace or self.telemetry_enabled:
+            bus = TelemetryBus(env)
+        if tracer is not None:
+            tracer.attach(bus)
         if self.telemetry_enabled:
-            bus = TelemetryBus(env, capacity=self.telemetry_capacity)
             if tracer is not None:
                 tracer.bus = bus
             if registry is not None:
                 registry.bus = bus
             if self.flight_recorder:
-                recorder = FlightRecorder(bus, capacity=self.recorder_capacity)
+                recorder = FlightRecorder(bus)
             if self.slo is not None:
-                slo_monitor = SLOMonitor(bus, self.slo, tracer=tracer)
+                slo_monitor = SLOMonitor(bus, self.slo)
         session = ObsSession(
             env=env,
             tracer=tracer,

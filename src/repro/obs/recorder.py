@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Dict, List
 
+from .export import trace_from_spans
 from .telemetry import (
     AlertFired,
     FaultInjected,
@@ -37,60 +38,12 @@ from .telemetry import (
     TelemetryEvent,
 )
 
-__all__ = ["FlightRecorder", "trace_from_span_events"]
+__all__ = ["FlightRecorder"]
 
 _PID = 1
 
 #: RecoveryEvent kinds that trigger a capture.
 _RECOVERY_TRIGGERS = ("breaker-open", "watchdog-timeout")
-
-
-def trace_from_span_events(
-    span_events: List[SpanEnd], extra_instants: Optional[List[dict]] = None
-) -> dict:
-    """Chrome trace-event JSON object from streamed ``SpanEnd`` events.
-
-    Mirrors :func:`repro.obs.export.chrome_trace`, but over the bus's
-    event stream instead of a tracer's retained span list — the
-    recorder must be able to cut a trace slice even when span retention
-    was disabled or already truncated.
-    """
-    tracks: Dict[str, int] = {}
-    for event in span_events:
-        if event.track not in tracks:
-            tracks[event.track] = len(tracks)
-    events: List[dict] = [
-        {"ph": "M", "pid": _PID, "name": "process_name",
-         "args": {"name": "repro-incident"}}
-    ]
-    for track, tid in tracks.items():
-        events.append({"ph": "M", "pid": _PID, "tid": tid,
-                       "name": "thread_name", "args": {"name": track}})
-        events.append({"ph": "M", "pid": _PID, "tid": tid,
-                       "name": "thread_sort_index",
-                       "args": {"sort_index": tid}})
-    for span in span_events:
-        args = dict(span.args or {})
-        if span.req is not None:
-            args["req"] = span.req
-        entry: Dict[str, Any] = {
-            "name": span.name,
-            "cat": span.cat or "sim",
-            "pid": _PID,
-            "tid": tracks[span.track],
-            "ts": span.start_ns / 1000.0,
-        }
-        if span.end_ns == span.start_ns:
-            entry["ph"] = "i"
-            entry["s"] = "t"
-        else:
-            entry["ph"] = "X"
-            entry["dur"] = (span.end_ns - span.start_ns) / 1000.0
-        if args:
-            entry["args"] = args
-        events.append(entry)
-    events.extend(extra_instants or [])
-    return {"traceEvents": events, "displayTimeUnit": "ns"}
 
 
 class FlightRecorder:
@@ -192,12 +145,14 @@ class FlightRecorder:
             "name": f"incident: {reason}", "cat": "incident",
             "ts": now / 1000.0,
         }
+        trace = trace_from_spans(span_events, process_name="repro-incident")
+        trace["traceEvents"].append(marker)
         return {
             "schema": "accelflow-incident/1",
             "reason": reason,
             "t_ns": now,
             "trigger": trigger.to_dict(),
-            "trace": trace_from_span_events(span_events, [marker]),
+            "trace": trace,
             "metrics": metrics,
             "faults_in_window": faults,
             "recovery_in_window": recoveries,

@@ -17,11 +17,12 @@ after the condition has stayed clear for ``resolve_after_ns`` —
 hysteresis in both directions, so a single straggler neither fires nor
 flaps an alert.
 
-Alert lifecycle is triple-reported: an :class:`~repro.obs.telemetry.
-AlertFired` event per transition on the bus (which is what the flight
-recorder and the dashboard consume), a first-class span per firing
-interval on the tracer (so alerts land in Perfetto exports on an
-``alerts`` track), and the :attr:`SLOMonitor.history` list for
+Each alert transition is published once, as an :class:`~repro.obs.
+telemetry.AlertFired` event on the bus (``pending``, ``inactive`` when
+a pending alert is cancelled, ``firing``, ``resolved``). The flight
+recorder, the dashboard and an attached span tracer (which draws the
+firing interval as a span on its ``alerts`` track) all read that one
+event; :attr:`SLOMonitor.history` keeps every resolved lifecycle for
 post-run inspection.
 """
 
@@ -111,7 +112,7 @@ class Alert:
 
     __slots__ = (
         "name", "service", "state", "pending_since_ns", "fired_at_ns",
-        "resolved_at_ns", "peak_burn_fast", "peak_burn_slow", "span",
+        "resolved_at_ns", "peak_burn_fast", "peak_burn_slow",
         "_healthy_since_ns",
     )
 
@@ -124,7 +125,6 @@ class Alert:
         self.resolved_at_ns: Optional[float] = None
         self.peak_burn_fast = 0.0
         self.peak_burn_slow = 0.0
-        self.span = None
         self._healthy_since_ns: Optional[float] = None
 
     def __repr__(self) -> str:
@@ -186,15 +186,9 @@ class _ServiceWindow:
 class SLOMonitor:
     """Burn-rate alerting subscriber; see the module docstring."""
 
-    def __init__(
-        self,
-        bus: TelemetryBus,
-        config: SLOMonitorConfig,
-        tracer=None,
-    ):
+    def __init__(self, bus: TelemetryBus, config: SLOMonitorConfig):
         self.bus = bus
         self.config = config
-        self.tracer = tracer
         self._exact: Dict[str, SLOTarget] = {}
         self._wildcard: Optional[SLOTarget] = None
         for target in config.targets:
@@ -274,22 +268,11 @@ class SLOMonitor:
             if not burning:
                 alert.state = AlertState.INACTIVE
                 alert.pending_since_ns = None
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        f"alert-cancelled {alert.name}", "alerts",
-                        args={"service": service},
-                    )
+                self._transition(alert, AlertState.INACTIVE, fast, slow, now_ns)
             elif now_ns - alert.pending_since_ns >= config.pending_for_ns:
                 alert.state = AlertState.FIRING
                 alert.fired_at_ns = now_ns
                 alert._healthy_since_ns = None
-                if self.tracer is not None:
-                    alert.span = self.tracer.begin(
-                        f"alert {alert.name}", "alerts", cat="alert",
-                        args={"service": service,
-                              "burn_fast": round(fast, 2),
-                              "burn_slow": round(slow, 2)},
-                    )
                 self._transition(alert, AlertState.FIRING, fast, slow, now_ns)
         elif alert.state == AlertState.FIRING:
             if burning:
@@ -300,8 +283,6 @@ class SLOMonitor:
                 if now_ns - alert._healthy_since_ns >= config.resolve_ns:
                     alert.resolved_at_ns = now_ns
                     alert.state = AlertState.RESOLVED
-                    if self.tracer is not None and alert.span is not None:
-                        self.tracer.end(alert.span, resolved=True)
                     self._transition(alert, AlertState.RESOLVED, fast, slow, now_ns)
                     self.history.append(alert)
                     # A fresh Alert object tracks any future burn.
@@ -320,11 +301,6 @@ class SLOMonitor:
                 burn_slow=slow,
             )
         )
-        if self.tracer is not None and state == AlertState.PENDING:
-            self.tracer.instant(
-                f"alert-pending {alert.name}", "alerts",
-                args={"service": alert.service, "burn_fast": round(fast, 2)},
-            )
 
     # -- access ------------------------------------------------------------
     def firing(self) -> List[Alert]:

@@ -6,13 +6,41 @@ one sampled request. Sampling is deterministic stride sampling per
 service — for a fixed RNG seed two runs produce identical traces —
 and request ids are renumbered to trace-local indices so traces do not
 depend on how many requests earlier tests/runs created.
+
+Per-request spans come from the hot-path producers, which sample
+before they build span arguments. Facts — fleet markers, admission and
+health decisions, fault injections, recovery events and alert
+transitions — are published once on the telemetry bus, and a tracer
+attached to that bus draws each as one instant on its type's track; a
+firing alert is drawn as a span that closes when the alert resolves.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from .telemetry import (
+    AdmissionEvent,
+    AlertFired,
+    FaultInjected,
+    HealthEvent,
+    Marker,
+    RecoveryEvent,
+    SpanEnd,
+    TelemetryEvent,
+)
+
 __all__ = ["Span", "SpanTracer"]
+
+#: Fact event type -> the track an attached tracer draws it on.
+_FACT_TRACKS = {
+    Marker: "cluster",
+    AdmissionEvent: "cluster",
+    HealthEvent: "cluster",
+    FaultInjected: "faults",
+    RecoveryEvent: "faults",
+    AlertFired: "alerts",
+}
 
 
 class Span:
@@ -85,6 +113,8 @@ class SpanTracer:
         #: Optional :class:`~repro.obs.telemetry.TelemetryBus`; closed
         #: spans are additionally published as ``SpanEnd`` events.
         self.bus = None
+        #: Alert name -> its open firing span (see :meth:`attach`).
+        self._alert_spans: Dict[str, Optional[Span]] = {}
         #: Per-service stride accumulator for deterministic sampling.
         self._stride: Dict[str, float] = {}
         #: Global request id -> trace-local index, for every sampled
@@ -146,10 +176,8 @@ class SpanTracer:
         )
 
     def _publish(self, span: Optional[Span]) -> Optional[Span]:
-        """Stream a closed span onto the telemetry bus (when attached)."""
+        """Stream a closed span onto :attr:`bus` when one is set."""
         if span is not None and self.bus is not None:
-            from .telemetry import SpanEnd
-
             self.bus.publish(
                 SpanEnd(
                     t_ns=span.end_ns,
@@ -203,6 +231,67 @@ class SpanTracer:
             self._admit(
                 Span(name, track, now, now, self.local_id(rid), "instant", args)
             )
+        )
+
+    # -- facts from the bus --------------------------------------------
+    def attach(self, bus) -> None:
+        """Draw every fact published on ``bus`` on its type's track.
+
+        Attaching does not stream spans onto the bus; that is what
+        :attr:`bus` is for.
+        """
+        bus.subscribe(self._draw, kinds=tuple(_FACT_TRACKS))
+
+    def _draw(self, event: TelemetryEvent) -> None:
+        """One instant per fact, at the fact's own timestamp."""
+        kind = type(event)
+        if kind is AlertFired:
+            self._draw_alert(event)
+            return
+        if kind is Marker:
+            name, args = event.name, event.args
+        elif kind is AdmissionEvent:
+            name, args = event.decision, {"service": event.service}
+        elif kind is HealthEvent:
+            name = f"machine-{event.state}"
+            args = {"machine": event.machine, "score": event.score,
+                    **(event.args or {})}
+        elif kind is FaultInjected:
+            name, args = event.category, event.args
+        else:
+            name, args = event.kind_name, event.args
+        self._mark(name, _FACT_TRACKS[kind], event.t_ns, args)
+
+    def _draw_alert(self, event: AlertFired) -> None:
+        """Pending and cancelled alerts are instants; a firing alert is a
+        span that its resolution closes."""
+        t_ns, alert, state = event.t_ns, event.alert, event.state
+        if state == "resolved":
+            span = self._alert_spans.pop(alert, None)
+            if span is not None:
+                span.end_ns = t_ns
+                span.args = {**span.args, "resolved": True}
+                self._publish(span)
+            return
+        args = {"service": event.service}
+        if state != "inactive":
+            args["burn_fast"] = round(event.burn_fast, 2)
+        if state == "firing":
+            args["burn_slow"] = round(event.burn_slow, 2)
+            self._alert_spans[alert] = self._admit(
+                Span(f"alert {alert}", "alerts", t_ns, None, None, "alert",
+                     {**args, **(event.args or {})})
+            )
+        else:
+            verb = "cancelled" if state == "inactive" else "pending"
+            self._mark(f"alert-{verb} {alert}", "alerts", t_ns,
+                       {**args, **(event.args or {})})
+
+    def _mark(
+        self, name: str, track: str, t_ns: float, args: Optional[Dict[str, Any]]
+    ) -> None:
+        self._publish(
+            self._admit(Span(name, track, t_ns, t_ns, None, "instant", args))
         )
 
     def close_open_spans(self) -> int:

@@ -1,11 +1,13 @@
 """Streaming telemetry: typed events on a bounded pub/sub bus.
 
-The :class:`TelemetryBus` is the live counterpart of the post-hoc obs
-objects. Producers — the span tracer, the metrics sampler, the fault
-plane, the recovery plane, orchestrators, the cluster front door and
-the experiment drivers — publish typed events *as they happen* in
-simulated time; subscribers (the SLO monitor, the flight recorder, the
-dashboard, tests) react inline. Publishing is synchronous: the
+The :class:`TelemetryBus` is the one instrumentation spine. Producers
+— the fault plane, the recovery plane, orchestrators, the cluster
+front door and health plane, the SLO monitor and the experiment
+drivers — publish each fact once, as a typed event, *as it happens* in
+simulated time; the span tracer and the metrics sampler also stream
+closed spans and gauge samples onto it when the streaming plane is on.
+Subscribers (the span tracer, the SLO monitor, the flight recorder,
+the dashboard, tests) react inline. Publishing is synchronous: the
 simulation is single-threaded, so an event is fully handled before the
 producer resumes, and an event published while another is being
 dispatched (e.g. an :class:`AlertFired` raised by the SLO monitor
@@ -17,9 +19,10 @@ counted, never silent), and pull-mode :class:`TelemetrySubscription`
 queues created with :meth:`TelemetryBus.tail` drop their oldest entry
 when full, again counting the loss.
 
-Everything is opt-in through ``ObsConfig.telemetry``; with the bus
-absent, every instrumentation point costs one ``is not None`` check —
-the same zero-cost contract as the rest of the obs subsystem.
+``ObsConfig`` builds a bus whenever tracing or the streaming plane is
+on; with the bus absent, every instrumentation point costs one
+``is not None`` check — the same zero-cost contract as the rest of the
+obs subsystem.
 """
 
 from __future__ import annotations
@@ -141,7 +144,8 @@ class AdmissionEvent(TelemetryEvent):
 
 @dataclass
 class AlertFired(TelemetryEvent):
-    """An SLO alert changed state (``pending``/``firing``/``resolved``)."""
+    """An SLO alert changed state: ``pending``, ``inactive`` (a pending
+    alert cancelled before it fired), ``firing`` or ``resolved``."""
 
     alert: str
     service: str

@@ -517,11 +517,6 @@ class Orchestrator:
                 raise
             if attempt.is_alive:
                 recovery.watchdog_timeouts += 1
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "watchdog-timeout", "faults",
-                        args={"step": step.kind.value, "rid": request.rid},
-                    )
                 if self.bus is not None:
                     self.bus.publish(
                         RecoveryEvent(

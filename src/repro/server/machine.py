@@ -73,9 +73,7 @@ class SimulatedServer:
         #: path and RNG draw matches the fault-free simulator exactly.
         self.fault_plane: Optional[FaultPlane] = None
         if faults is not None and faults.enabled:
-            self.fault_plane = FaultPlane(
-                self.env, faults, self.streams, tracer=self.tracer
-            )
+            self.fault_plane = FaultPlane(self.env, faults, self.streams)
             self.fault_plane.bus = self.bus
             self.fault_plane.attach(self.hardware)
         self.cost_model = CostModel(self.registry, generation=self.params.generation)

@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import FlightRecorder
-from repro.obs.recorder import trace_from_span_events
+from repro.obs import FlightRecorder, trace_from_spans
 from repro.obs.telemetry import (
     AlertFired,
     FaultInjected,
@@ -185,6 +184,32 @@ def test_write_without_incidents_raises(tmp_path):
         recorder.write(str(tmp_path / "nope.json"))
 
 
+def test_cancelled_pending_alert_leaves_active_set():
+    """A pending alert cancelled before firing is not active later."""
+    from repro.obs import SLOMonitor, SLOMonitorConfig, SLOTarget
+
+    bus, recorder = _recorder()
+    monitor = SLOMonitor(bus, SLOMonitorConfig(
+        targets=(SLOTarget("*", availability=0.9),),
+        fast_window_ns=10.0, slow_window_ns=100.0, burn_threshold=2.0,
+        min_events=2, pending_for_ns=5.0,
+    ))
+
+    def end(t_ns, service, ok):
+        bus.publish(RequestEnd(t_ns=float(t_ns), service=service,
+                               latency_ns=1.0, ok=ok))
+
+    end(0, "a", False)
+    end(1, "a", False)  # a: pending
+    for i in range(20):
+        end(2 + i / 10, "a", True)  # a: burn clears before the hold
+    assert monitor.alerts["a"].state == "inactive"
+    for t in (30, 31, 37):
+        end(t, "b", False)  # b: pending at 31, firing at 37
+    assert monitor.alerts["b"].state == "firing"
+    assert recorder.incidents[-1]["active_alerts"] == {"slo-burn:b": "firing"}
+
+
 def test_resolved_alert_leaves_active_set():
     bus, recorder = _recorder(cooldown_ns=1e9)
     bus.publish(_firing(1.0))
@@ -231,7 +256,7 @@ def test_stats_shape():
 
 
 # ----------------------------------------------------------------------
-# Standalone trace builder
+# Shared trace builder
 # ----------------------------------------------------------------------
 def test_trace_from_span_events_tracks_and_instants():
     spans = [
@@ -239,7 +264,7 @@ def test_trace_from_span_events_tracks_and_instants():
                 args={"k": 1}),
         SpanEnd(t_ns=6.0, name="i", track="dma", start_ns=6.0, end_ns=6.0),
     ]
-    trace = trace_from_span_events(spans)
+    trace = trace_from_spans(spans)
     events = trace["traceEvents"]
     thread_names = [e["args"]["name"] for e in events
                     if e.get("name") == "thread_name"]

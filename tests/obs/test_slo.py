@@ -144,7 +144,7 @@ def test_pending_cancelled_when_burn_clears():
     # Flood of good outcomes clears both windows before the hold expires.
     for t in range(2, 30):
         _end(bus, float(t), ok=True)
-    assert [s for s, _ in transitions] == ["pending"]
+    assert [s for s, _ in transitions] == ["pending", "inactive"]
     assert monitor.alerts["svc"].state == AlertState.INACTIVE
 
 
@@ -209,7 +209,8 @@ def test_alert_spans_land_on_alerts_track():
 
     bus = TelemetryBus()
     tracer = SpanTracer(Environment())
-    monitor = SLOMonitor(bus, _config(resolve_after_ns=1.0), tracer=tracer)
+    tracer.attach(bus)
+    monitor = SLOMonitor(bus, _config(resolve_after_ns=1.0))
     for t in range(3):
         _end(bus, float(t), ok=False)
     for t in range(3, 40):

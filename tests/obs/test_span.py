@@ -1,8 +1,18 @@
 """Unit tests for the span tracer."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.obs import SpanTracer
+from repro.obs import SpanTracer, TelemetryBus
+from repro.obs.telemetry import (
+    AdmissionEvent,
+    AlertFired,
+    FaultInjected,
+    HealthEvent,
+    Marker,
+    RecoveryEvent,
+)
 from repro.sim import Environment
 
 
@@ -161,3 +171,81 @@ def test_span_lifecycle_publishes_to_bus():
     tracer.close_open_spans()
     assert tracer.bus.recent(kinds=(SpanEnd,))[-1].name == "stuck"
     assert leftover.args == {"unclosed": True}
+
+
+# ----------------------------------------------------------------------
+# Facts drawn from the telemetry bus
+# ----------------------------------------------------------------------
+FACTS = [
+    (Marker(t_ns=3.0, name="machine-added", args={"machine": 1}),
+     "cluster", "machine-added", {"machine": 1}),
+    (AdmissionEvent(t_ns=3.0, service="svc", decision="shed", rid=7),
+     "cluster", "shed", {"service": "svc"}),
+    (HealthEvent(t_ns=3.0, machine=2, state="ejected", score=0.5,
+                 args={"why": "p99"}),
+     "cluster", "machine-ejected", {"machine": 2, "score": 0.5, "why": "p99"}),
+    (FaultInjected(t_ns=3.0, category="pe-transient", args={"accel": "tcp"}),
+     "faults", "pe-transient", {"accel": "tcp"}),
+    (RecoveryEvent(t_ns=3.0, kind_name="watchdog-timeout",
+                   args={"step": "tcp", "rid": 4}),
+     "faults", "watchdog-timeout", {"step": "tcp", "rid": 4}),
+    (AlertFired(t_ns=3.0, alert="slo-burn:svc", service="svc",
+                state="pending", burn_fast=20.123, args={"k": 1}),
+     "alerts", "alert-pending slo-burn:svc",
+     {"service": "svc", "burn_fast": 20.12, "k": 1}),
+    (AlertFired(t_ns=3.0, alert="slo-burn:svc", service="svc",
+                state="inactive"),
+     "alerts", "alert-cancelled slo-burn:svc", {"service": "svc"}),
+]
+
+
+@pytest.mark.parametrize(
+    "event, track, name, args", FACTS, ids=[f[2].split()[0] for f in FACTS]
+)
+def test_attached_tracer_draws_each_fact_once(event, track, name, args):
+    bus = TelemetryBus()
+    tracer = SpanTracer(Environment())
+    tracer.attach(bus)
+    bus.publish(event)
+    (span,) = tracer.spans
+    assert (span.track, span.name, span.args) == (track, name, args)
+    assert span.is_instant and span.start_ns == 3.0 and span.req is None
+    if isinstance(event, AlertFired):
+        bus.publish(replace(event, t_ns=4.0, state="firing", burn_slow=9.0))
+        bus.publish(replace(event, t_ns=9.0, state="resolved"))
+        closed = [s for s in tracer.spans if not s.is_instant]
+        assert [(s.name, s.track, s.start_ns, s.end_ns) for s in closed] == [
+            ("alert slo-burn:svc", "alerts", 4.0, 9.0)
+        ]
+        assert closed[0].args["resolved"] is True
+
+
+@pytest.fixture(scope="module")
+def faulty_traced_run():
+    from repro.faults import FaultConfig
+    from repro.obs import ObsConfig
+    from repro.server import RunConfig, run_experiment
+    from repro.workloads import social_network_services
+
+    obs = ObsConfig(trace=True)
+    run_experiment(
+        [s for s in social_network_services() if s.name == "StoreP"],
+        RunConfig(
+            "accelflow", requests_per_service=80, seed=0,
+            arrival_mode="poisson", rate_rps=20000, colocated=True,
+            faults=FaultConfig(pe_transient_rate=0.05, dma_stall_rate=0.02),
+            obs=obs,
+        ),
+    )
+    return obs
+
+
+def test_faulty_traced_run_draws_fault_instants(faulty_traced_run):
+    names = {s.name for s in faulty_traced_run.tracer.spans_for(track="faults")}
+    assert {"pe-transient", "dma-stall"} <= names
+
+
+def test_trace_without_streaming_publishes_no_span_end(faulty_traced_run):
+    counts = faulty_traced_run.bus.counts
+    assert counts["FaultInjected"] > 0 and counts["Marker"] == 2
+    assert "SpanEnd" not in counts
