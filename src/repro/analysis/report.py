@@ -12,47 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Dict, List
+from typing import List
 
-from ..experiments import EXPERIMENTS
+from ..experiments import EXPERIMENTS, SCALES
 from ..experiments.cache import DEFAULT_CACHE_DIR, ResultCache
 from ..experiments.parallel import ShardExecutor, default_jobs
+from ..experiments.runner import reject_unknown
 
 __all__ = ["generate_report", "metrics_section", "main"]
-
-#: Per-experiment one-line claims from the paper, used as row headers.
-PAPER_CLAIMS: Dict[str, str] = {
-    "fig1": "Services spend ~79% of time on datacenter tax (AppLogic 20.7% avg)",
-    "fig3": "Orchestration overhead at 15 kRPS: CPU-Centric 25%, HW-Manager 15%, Direct tiny",
-    "fig5": "Per-accelerator payloads: median a few KB, tail to tens of KB, no LdB data",
-    "table1": "Each accelerator exchanges data with several others (flexible links needed)",
-    "table2": "Twelve trace templates T1-T12; none exceeds the 8-byte trace budget",
-    "table4": "Accelerators per invocation: CPost 87 ... UniqId 9 (exact counts)",
-    "fig11": "AccelFlow P99 reductions: Non-acc 90.7%, CPU-Centric 81.2%, RELIEF 68.8%, Cohort 70.1%",
-    "fig12": "AccelFlow P99 reduction over RELIEF grows with load: 55.1/60.9/68.3% at 5/10/15K RPS",
-    "fig13": "Cumulative ladder reductions: +PerAccTypeQ 6.8%, +Direct 32.7%, +CntrFlow 55.1%, AccelFlow 68.7%",
-    "fig14": "Max throughput: 8.3x Non-acc, 2.2x RELIEF, within 8% of Ideal; EDF +1.6x",
-    "fig15": "Coarse image/RNN apps: AccelFlow 1.8x RELIEF max throughput",
-    "fig16": "Serverless P99: AccelFlow -37% vs RELIEF",
-    "fig17": "Accelerator time dominates; orchestration only 2.2% (RELIEF ~10%)",
-    "fig18": "Tail latency rises with chiplet count: 2 -> 6 chiplets +14%",
-    "fig19": "Fewer PEs force CPU fallback: +20.0% (4 PEs) / +35.7% (2 PEs) tail",
-    "fig20": "AccelFlow's advantage grows on newer CPUs: 68.8% -> 71.7% vs RELIEF",
-    "sens-interchiplet": "6-chiplet tail +45% going from 60 to 100 inter-chiplet cycles",
-    "sens-speedups": "AccelFlow-over-RELIEF gain: 1.4x @0.25x speedups -> 3.9x @4x",
-    "sens-adaptive": "(future work) adaptive load-aware offload: matches AccelFlow unloaded, wins under accelerator saturation",
-    "campaign": "(beyond paper) chaos-campaign scorecard: availability/P99-inflation/MTTR/retry-amplification per scenario x architecture; gray failures inflate P99 without tripping burn-rate alerts",
-    "fig_cluster": "(beyond paper) fleet of AccelFlow servers: occupancy-aware balancing beats round-robin on P99 under MMPP bursts, gap widening toward saturation",
-    "fig_faults": "(beyond paper) chaos suite: recovery plane holds availability under transient/wear faults; under manager outages decentralized AccelFlow beats centralized RELIEF",
-    "fig_fluid": "(beyond paper) hybrid fluid/DES tier: analytical M/M/k queues on cold machines track exact DES within tolerance under CRN while cutting scheduled events",
-    "fig_metastable": "(beyond paper) metastable failure A/B: fixed retries sustain a retry storm after the trigger clears; an adaptive retry budget self-quenches it",
-    "fig_placement": "(beyond paper) placement study: the on-package ensemble beats PCIe/NIC/remote disaggregation on P99 under every orchestration architecture",
-    "char-branches": "Conditional sequences: SocialNet 69.2%, Hotel 62.5%, Media 82.5%, TrainTicket 53.8%",
-    "char-glue": "Output dispatcher: ~15 base instructions, 18 average, ~50 worst case",
-    "char-utilization": "Peak utilization: TCP 92%, (De)Encr 82%, RPC 68%, (De)Ser 73%, (De)Cmp 38%, LdB 71%",
-    "char-energy": "Energy -74% vs Non-acc; perf/W 7.2x Non-acc / 2.1x RELIEF",
-    "char-events": "Rare events: overflow 1.4%, page faults 0.13/Mi, TCP timeouts 3.2/M",
-}
 
 
 def generate_report(
@@ -85,15 +52,14 @@ def generate_report(
         "",
     ]
     for name in names:
+        experiment = EXPERIMENTS[name]
         start = time.time()
-        result = EXPERIMENTS[name](scale=scale, seed=seed, executor=executor)
+        result = experiment.run(scale=scale, seed=seed, executor=executor)
         elapsed = time.time() - start
         sections.append(f"## {name}")
         sections.append("")
-        claim = PAPER_CLAIMS.get(name)
-        if claim:
-            sections.append(f"**Paper:** {claim}")
-            sections.append("")
+        sections.append(f"**Paper:** {experiment.claim}")
+        sections.append("")
         sections.append("```text")
         sections.append(result["table"])
         sections.append("```")
@@ -129,7 +95,7 @@ def metrics_section(registry, title: str = "Time-series metrics",
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", default="quick")
+    parser.add_argument("--scale", default="quick", choices=sorted(SCALES))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("-o", "--output", default="EXPERIMENTS.md")
     parser.add_argument("--only", nargs="*", default=None,
@@ -139,6 +105,8 @@ def main(argv=None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk shard result cache")
     args = parser.parse_args(argv)
+    if reject_unknown(args.only or ()):
+        return 2
     jobs = default_jobs() if args.jobs is None else max(1, args.jobs)
     cache = None if args.no_cache else ResultCache(DEFAULT_CACHE_DIR)
     with ShardExecutor(jobs=jobs, cache=cache) as executor:

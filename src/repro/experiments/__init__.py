@@ -28,98 +28,49 @@ from . import (
     table4_paths,
 )
 from .common import LADDER, MAIN_ARCHITECTURES, SCALES, format_table
-from .parallel import ShardedExperiment
+from .parallel import experiment_table
 
-#: Experiment id -> callable(scale, seed) returning {..., "table": str}.
-EXPERIMENTS = {
-    "fig1": fig01_breakdown.run,
-    "fig3": fig03_orchestration.run,
-    "fig5": fig05_datasizes.run,
-    "table1": table1_connectivity.run,
-    "table2": table2_traces.run,
-    "table4": table4_paths.run,
-    "fig11": fig11_latency.run,
-    "fig12": fig12_loads.run,
-    "fig13": fig13_ablation.run,
-    "fig14": fig14_throughput.run,
-    "fig15": fig15_gem5.run,
-    "fig16": fig16_serverless.run,
-    "fig17": fig17_components.run,
-    "fig18": fig18_chiplets.run,
-    "fig19": fig19_pes.run,
-    "fig20": fig20_generations.run,
-    "campaign": fig_campaign.run,
-    "fig_cluster": fig_cluster.run,
-    "fig_faults": fig_faults.run,
-    "fig_fluid": fig_fluid.run,
-    "fig_metastable": fig_metastable.run,
-    "fig_placement": fig_placement.run,
-    "sens-interchiplet": sensitivity.run_interchiplet,
-    "sens-speedups": sensitivity.run_speedups,
-    "sens-adaptive": sensitivity.run_adaptive,
-    "char-branches": char_branches.run,
-    "char-glue": characterization.run_glue,
-    "char-utilization": characterization.run_utilization,
-    "char-energy": characterization.run_energy,
-    "char-events": characterization.run_events,
-}
-
-#: Experiment id -> ShardedExperiment (shard/merge decomposition of the
-#: same computation; worker processes resolve shards through this table).
-SHARDED = {
-    "fig1": fig01_breakdown.SHARDED,
-    "fig3": fig03_orchestration.SHARDED,
-    "fig5": fig05_datasizes.SHARDED,
-    "table1": table1_connectivity.SHARDED,
-    "table2": table2_traces.SHARDED,
-    "table4": table4_paths.SHARDED,
-    "fig11": fig11_latency.SHARDED,
-    "fig12": fig12_loads.SHARDED,
-    "fig13": fig13_ablation.SHARDED,
-    "fig14": fig14_throughput.SHARDED,
-    "fig15": fig15_gem5.SHARDED,
-    "fig16": fig16_serverless.SHARDED,
-    "fig17": fig17_components.SHARDED,
-    "fig18": fig18_chiplets.SHARDED,
-    "fig19": fig19_pes.SHARDED,
-    "fig20": fig20_generations.SHARDED,
-    "campaign": fig_campaign.SHARDED,
-    "fig_cluster": fig_cluster.SHARDED,
-    "fig_faults": fig_faults.SHARDED,
-    "fig_fluid": fig_fluid.SHARDED,
-    "fig_metastable": fig_metastable.SHARDED,
-    "fig_placement": fig_placement.SHARDED,
-    "sens-interchiplet": sensitivity.SHARDED_INTERCHIPLET,
-    "sens-speedups": sensitivity.SHARDED_SPEEDUPS,
-    "sens-adaptive": sensitivity.SHARDED_ADAPTIVE,
-    "char-branches": char_branches.SHARDED,
-    "char-glue": characterization.SHARDED_GLUE,
-    "char-utilization": characterization.SHARDED_UTILIZATION,
-    "char-energy": characterization.SHARDED_ENERGY,
-    "char-events": characterization.SHARDED_EVENTS,
-}
-
-
-def get_sharded(name: str) -> ShardedExperiment:
-    """Resolve an experiment id to its sharded decomposition.
-
-    Worker processes call this to rebuild the ``run_shard`` callable from
-    a pickled :class:`~repro.experiments.parallel.Shard` spec.
-    """
-    try:
-        return SHARDED[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {name!r}; known: {', '.join(sorted(SHARDED))}"
-        ) from None
-
+#: Experiment id -> :class:`~repro.experiments.parallel.ShardedExperiment`,
+#: the one table the runner, the report and the worker processes share.
+#: ``EXPERIMENTS[id].run(scale, seed, executor=...)`` returns a dict
+#: with at least a ``"table"`` string.
+EXPERIMENTS = experiment_table([
+    fig01_breakdown.SHARDED,
+    fig03_orchestration.SHARDED,
+    fig05_datasizes.SHARDED,
+    table1_connectivity.SHARDED,
+    table2_traces.SHARDED,
+    table4_paths.SHARDED,
+    fig11_latency.SHARDED,
+    fig12_loads.SHARDED,
+    fig13_ablation.SHARDED,
+    fig14_throughput.SHARDED,
+    fig15_gem5.SHARDED,
+    fig16_serverless.SHARDED,
+    fig17_components.SHARDED,
+    fig18_chiplets.SHARDED,
+    fig19_pes.SHARDED,
+    fig20_generations.SHARDED,
+    fig_campaign.SHARDED,
+    fig_cluster.SHARDED,
+    fig_faults.SHARDED,
+    fig_fluid.SHARDED,
+    fig_metastable.SHARDED,
+    fig_placement.SHARDED,
+    sensitivity.SHARDED_INTERCHIPLET,
+    sensitivity.SHARDED_SPEEDUPS,
+    sensitivity.SHARDED_ADAPTIVE,
+    char_branches.SHARDED,
+    characterization.SHARDED_GLUE,
+    characterization.SHARDED_UTILIZATION,
+    characterization.SHARDED_ENERGY,
+    characterization.SHARDED_EVENTS,
+])
 
 __all__ = [
     "EXPERIMENTS",
     "LADDER",
     "MAIN_ARCHITECTURES",
     "SCALES",
-    "SHARDED",
     "format_table",
-    "get_sharded",
 ]

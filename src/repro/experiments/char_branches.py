@@ -89,9 +89,11 @@ def _compute(scale: str = "quick", seed: int = 0) -> Dict:
     return {"shares": shares, "table": table}
 
 
-SHARDED = single_shard("char-branches", _compute)
-
-
-def run(scale: str = "quick", seed: int = 0, executor=None) -> Dict:
-    """Classic entry point; delegates to the sharded executor path."""
-    return SHARDED.run(scale=scale, seed=seed, executor=executor)
+SHARDED = single_shard(
+    "char-branches", _compute,
+    claim=(
+        "Conditional sequences: SocialNet 69.2%, Hotel 62.5%, Media 82.5%, "
+        "TrainTicket 53.8%"
+    ),
+)
+run = SHARDED.run

@@ -22,7 +22,7 @@ __all__ = ["run"]
 
 def make_shards(scale: str = "quick", seed: int = 0) -> List[Shard]:
     return [
-        Shard("fig1", (spec.name,), {"service": spec.name},
+        Shard((spec.name,), {"service": spec.name},
               derive_seed(seed, "fig1", spec.name))
         for spec in social_network_services()
     ]
@@ -80,9 +80,8 @@ def merge(payloads: Dict, scale: str, seed: int) -> Dict:
     return {"services": data, "averages": averages, "table": table}
 
 
-SHARDED = ShardedExperiment("fig1", make_shards, run_shard, merge)
-
-
-def run(scale: str = "quick", seed: int = 0, executor=None) -> Dict:
-    """Classic entry point; delegates to the sharded executor path."""
-    return SHARDED.run(scale=scale, seed=seed, executor=executor)
+SHARDED = ShardedExperiment(
+    "fig1", make_shards, run_shard, merge,
+    claim="Services spend ~79% of time on datacenter tax (AppLogic 20.7% avg)",
+)
+run = SHARDED.run

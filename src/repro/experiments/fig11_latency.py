@@ -46,7 +46,7 @@ def make_shards(scale: str = "quick", seed: int = 0, architectures=None) -> List
     # Architectures measuring the same service share a derived seed
     # (common random numbers across the comparison axis).
     return [
-        Shard("fig11", (arch, spec.name),
+        Shard((arch, spec.name),
               {"architecture": arch, "service": spec.name},
               derive_seed(seed, "fig11", spec.name))
         for arch in architectures
@@ -140,11 +140,11 @@ def merge(payloads: Dict, scale: str, seed: int, architectures=None) -> Dict:
     }
 
 
-SHARDED = ShardedExperiment("fig11", make_shards, run_shard, merge)
-
-
-def run(scale: str = "quick", seed: int = 0, architectures=None, executor=None) -> Dict:
-    """Classic entry point; delegates to the sharded executor path."""
-    return SHARDED.run(
-        scale=scale, seed=seed, executor=executor, architectures=architectures
-    )
+SHARDED = ShardedExperiment(
+    "fig11", make_shards, run_shard, merge,
+    claim=(
+        "AccelFlow P99 reductions: Non-acc 90.7%, CPU-Centric 81.2%, "
+        "RELIEF 68.8%, Cohort 70.1%"
+    ),
+)
+run = SHARDED.run

@@ -32,7 +32,7 @@ def make_shards(scale: str = "quick", seed: int = 0) -> List[Shard]:
     # Every rung replays the identical workload (one shared derived
     # seed): the ladder is a controlled experiment on the architecture.
     return [
-        Shard("fig13", (arch,), {"architecture": arch},
+        Shard((arch,), {"architecture": arch},
               derive_seed(seed, "fig13"))
         for arch in LADDER
     ]
@@ -89,9 +89,11 @@ def merge(payloads: Dict, scale: str, seed: int) -> Dict:
     }
 
 
-SHARDED = ShardedExperiment("fig13", make_shards, run_shard, merge)
-
-
-def run(scale: str = "quick", seed: int = 0, executor=None) -> Dict:
-    """Classic entry point; delegates to the sharded executor path."""
-    return SHARDED.run(scale=scale, seed=seed, executor=executor)
+SHARDED = ShardedExperiment(
+    "fig13", make_shards, run_shard, merge,
+    claim=(
+        "Cumulative ladder reductions: +PerAccTypeQ 6.8%, +Direct 32.7%, "
+        "+CntrFlow 55.1%, AccelFlow 68.7%"
+    ),
+)
+run = SHARDED.run

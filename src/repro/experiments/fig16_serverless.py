@@ -25,7 +25,7 @@ def make_shards(scale: str = "quick", seed: int = 0) -> List[Shard]:
     # Colocated runs cannot split per function (they share one server);
     # one shard per architecture, all replaying the same arrivals.
     return [
-        Shard("fig16", (arch,), {"architecture": arch},
+        Shard((arch,), {"architecture": arch},
               derive_seed(seed, "fig16"))
         for arch in ARCHITECTURES
     ]
@@ -70,9 +70,8 @@ def merge(payloads: Dict, scale: str, seed: int) -> Dict:
     return {"results": results, "reduction_vs_relief": reduction, "table": table}
 
 
-SHARDED = ShardedExperiment("fig16", make_shards, run_shard, merge)
-
-
-def run(scale: str = "quick", seed: int = 0, executor=None) -> Dict:
-    """Classic entry point; delegates to the sharded executor path."""
-    return SHARDED.run(scale=scale, seed=seed, executor=executor)
+SHARDED = ShardedExperiment(
+    "fig16", make_shards, run_shard, merge,
+    claim="Serverless P99: AccelFlow -37% vs RELIEF",
+)
+run = SHARDED.run

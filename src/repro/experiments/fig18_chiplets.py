@@ -27,7 +27,7 @@ def make_shards(
 ) -> List[Shard]:
     # Layouts share one derived seed: the sweep varies only the hardware.
     return [
-        Shard("fig18", (chiplets,),
+        Shard((chiplets,),
               {"chiplets": chiplets, "architecture": architecture},
               derive_seed(seed, "fig18"))
         for chiplets in CHIPLET_COUNTS
@@ -66,16 +66,8 @@ def merge(
     return {"p99_ns": p99, "increase_2_to_6_pct": increase_2_to_6, "table": table}
 
 
-SHARDED = ShardedExperiment("fig18", make_shards, run_shard, merge)
-
-
-def run(
-    scale: str = "quick",
-    seed: int = 0,
-    architecture: str = "accelflow",
-    executor=None,
-) -> Dict:
-    """Classic entry point; delegates to the sharded executor path."""
-    return SHARDED.run(
-        scale=scale, seed=seed, executor=executor, architecture=architecture
-    )
+SHARDED = ShardedExperiment(
+    "fig18", make_shards, run_shard, merge,
+    claim="Tail latency rises with chiplet count: 2 -> 6 chiplets +14%",
+)
+run = SHARDED.run

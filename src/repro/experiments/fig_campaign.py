@@ -28,7 +28,6 @@ def make_shards(scale: str = "quick", seed: int = 0):
         # architectures in one cell replay identical arrivals, request
         # bodies and injection schedules (CRN).
         Shard(
-            "campaign",
             (scenario, architecture, replica),
             {
                 "scenario": scenario,
@@ -111,9 +110,13 @@ def merge(payloads: Dict, scale: str, seed: int) -> Dict:
     return {"scorecard": scorecard, "worst_availability": worst, "table": table}
 
 
-SHARDED = ShardedExperiment("campaign", make_shards, run_shard, merge)
-
-
-def run(scale: str = "quick", seed: int = 0, executor=None) -> Dict:
-    """Classic entry point; delegates to the sharded executor path."""
-    return SHARDED.run(scale=scale, seed=seed, executor=executor)
+SHARDED = ShardedExperiment(
+    "campaign", make_shards, run_shard, merge,
+    claim=(
+        "(beyond paper) chaos-campaign scorecard: "
+        "availability/P99-inflation/MTTR/retry-amplification per scenario x "
+        "architecture; gray failures inflate P99 without tripping burn-rate "
+        "alerts"
+    ),
+)
+run = SHARDED.run

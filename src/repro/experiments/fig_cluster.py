@@ -54,7 +54,7 @@ def make_shards(scale: str = "quick", seed: int = 0, policies=None) -> List[Shar
     return [
         # Seed depends on the load only: all policies at one load see
         # the same arrivals and requests (common random numbers).
-        Shard("fig_cluster", (policy, load), {"policy": policy, "load_rps": load},
+        Shard((policy, load), {"policy": policy, "load_rps": load},
               derive_seed(seed, "fig_cluster", load))
         for policy in policies
         for load in LOADS_RPS
@@ -123,9 +123,12 @@ def merge(payloads: Dict, scale: str, seed: int, policies=None) -> Dict:
     return {"p99_ns": p99, "gains_vs_round_robin": gains, "table": table}
 
 
-SHARDED = ShardedExperiment("fig_cluster", make_shards, run_shard, merge)
-
-
-def run(scale: str = "quick", seed: int = 0, policies=None, executor=None) -> Dict:
-    """Classic entry point; delegates to the sharded executor path."""
-    return SHARDED.run(scale=scale, seed=seed, executor=executor, policies=policies)
+SHARDED = ShardedExperiment(
+    "fig_cluster", make_shards, run_shard, merge,
+    claim=(
+        "(beyond paper) fleet of AccelFlow servers: "
+        "occupancy-aware balancing beats round-robin on P99 under MMPP "
+        "bursts, gap widening toward saturation"
+    ),
+)
+run = SHARDED.run

@@ -42,9 +42,10 @@ from ..faults.campaign import (
     SERVICE,
     SLO_MULTIPLIER,
     cell_config,
+    score,
 )
 from ..server.driver import calibrate_slo, drive, make_server
-from ..sim import LatencyRecorder, derive_seed
+from ..sim import derive_seed
 from ..workloads import social_network_services
 from .common import MAIN_ARCHITECTURES, format_table, pick_service, requests_for
 from .parallel import Shard, ShardedExperiment
@@ -74,43 +75,19 @@ SCENARIO_ORDER = ["clean", "transient", "wear", "mgr-outage"]
 
 
 def _summarize(in_flight, server, slo_ns) -> Dict[str, float]:
-    recorder = LatencyRecorder()
-    available = 0
-    errors = timeouts = censored = 0
-    for request, _process in in_flight:
-        if not request.completed:
-            censored += 1
-            recorder.record(server.env.now - request.arrival_ns)
-            continue
-        recorder.record(request.latency_ns)
-        if request.error:
-            errors += 1
-        if request.timed_out:
-            timeouts += 1
-        if (
-            not request.error
-            and not request.timed_out
-            and request.latency_ns <= slo_ns
-        ):
-            available += 1
+    payload = score(in_flight, server.env.now, slo_ns)
     stats = server.orchestrator.stats()
     recovery = stats.get("recovery", {})
     plane = server.fault_plane
-    return {
-        "availability": available / len(in_flight) if in_flight else 0.0,
-        "p99_ns": recorder.p99() if len(recorder) else 0.0,
-        "mean_ns": recorder.mean() if len(recorder) else 0.0,
-        "completed": float(len(in_flight) - censored),
-        "censored": float(censored),
-        "errors": float(errors),
-        "timeouts": float(timeouts),
-        "fallbacks": float(stats.get("fallbacks", 0.0)),
-        "injected": float(plane.total_injected()) if plane is not None else 0.0,
-        "watchdog_timeouts": float(recovery.get("watchdog_timeouts", 0.0)),
-        "step_retries": float(recovery.get("step_retries", 0.0)),
-        "degraded_to_cpu": float(recovery.get("degraded_to_cpu", 0.0)),
-        "breaker_trips": float(recovery.get("breaker_trips", 0.0)),
-    }
+    payload.update(
+        fallbacks=float(stats.get("fallbacks", 0.0)),
+        injected=float(plane.total_injected()) if plane is not None else 0.0,
+        watchdog_timeouts=float(recovery.get("watchdog_timeouts", 0.0)),
+        step_retries=float(recovery.get("step_retries", 0.0)),
+        degraded_to_cpu=float(recovery.get("degraded_to_cpu", 0.0)),
+        breaker_trips=float(recovery.get("breaker_trips", 0.0)),
+    )
+    return payload
 
 
 def make_shards(scale: str = "quick", seed: int = 0) -> List[Shard]:
@@ -118,7 +95,6 @@ def make_shards(scale: str = "quick", seed: int = 0) -> List[Shard]:
         # Seed depends on the scenario only: all architectures in one
         # scenario see identical arrivals and request bodies (CRN).
         Shard(
-            "fig_faults",
             (scenario, architecture),
             {"scenario": scenario, "architecture": architecture},
             derive_seed(seed, "fig_faults", scenario),
@@ -225,9 +201,12 @@ def merge(payloads: Dict, scale: str, seed: int) -> Dict:
     }
 
 
-SHARDED = ShardedExperiment("fig_faults", make_shards, run_shard, merge)
-
-
-def run(scale: str = "quick", seed: int = 0, executor=None) -> Dict:
-    """Classic entry point; delegates to the sharded executor path."""
-    return SHARDED.run(scale=scale, seed=seed, executor=executor)
+SHARDED = ShardedExperiment(
+    "fig_faults", make_shards, run_shard, merge,
+    claim=(
+        "(beyond paper) chaos suite: recovery plane holds availability under "
+        "transient/wear faults; under manager outages decentralized AccelFlow "
+        "beats centralized RELIEF"
+    ),
+)
+run = SHARDED.run

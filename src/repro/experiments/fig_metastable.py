@@ -142,7 +142,6 @@ def make_shards(scale: str = "quick", seed: int = 0) -> List[Shard]:
         # arrivals and an identical trigger schedule (CRN), so any
         # post-trigger divergence is the retry policy's doing.
         Shard(
-            "fig_metastable",
             (arm,),
             {"arm": arm},
             derive_seed(seed, "fig_metastable"),
@@ -241,9 +240,12 @@ def merge(payloads: Dict, scale: str, seed: int) -> Dict:
     }
 
 
-SHARDED = ShardedExperiment("fig_metastable", make_shards, run_shard, merge)
-
-
-def run(scale: str = "quick", seed: int = 0, executor=None) -> Dict:
-    """Classic entry point; delegates to the sharded executor path."""
-    return SHARDED.run(scale=scale, seed=seed, executor=executor)
+SHARDED = ShardedExperiment(
+    "fig_metastable", make_shards, run_shard, merge,
+    claim=(
+        "(beyond paper) metastable failure A/B: "
+        "fixed retries sustain a retry storm after the trigger clears; "
+        "an adaptive retry budget self-quenches it"
+    ),
+)
+run = SHARDED.run

@@ -61,7 +61,6 @@ def make_shards(scale: str = "quick", seed: int = 0) -> List[Shard]:
         # arrivals and request bodies (CRN), so cross-cell latency
         # deltas are attributable to placement and architecture alone.
         Shard(
-            "fig_placement",
             (placement.value, architecture),
             {"placement": placement.value, "architecture": architecture},
             derive_seed(seed, "fig_placement"),
@@ -187,9 +186,12 @@ def merge(payloads: Dict, scale: str, seed: int) -> Dict:
     }
 
 
-SHARDED = ShardedExperiment("fig_placement", make_shards, run_shard, merge)
-
-
-def run(scale: str = "quick", seed: int = 0, executor=None) -> Dict:
-    """Classic entry point; delegates to the sharded executor path."""
-    return SHARDED.run(scale=scale, seed=seed, executor=executor)
+SHARDED = ShardedExperiment(
+    "fig_placement", make_shards, run_shard, merge,
+    claim=(
+        "(beyond paper) placement study: the on-package ensemble beats "
+        "PCIe/NIC/remote disaggregation on P99 under every orchestration "
+        "architecture"
+    ),
+)
+run = SHARDED.run

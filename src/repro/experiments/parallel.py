@@ -18,6 +18,10 @@ module therefore exposes three pieces instead of one opaque loop:
   payload}`` mapping (always in ``make_shards`` order) into the
   experiment's result dict, including its ``"table"`` string.
 
+A :class:`ShardedExperiment` bundles the three with the experiment's id
+and the paper claim it reproduces; it is the experiment's one
+definition, listed once in :data:`repro.experiments.EXPERIMENTS`.
+
 :class:`ShardExecutor` runs the shards — in-process when ``jobs=1``,
 else on a persistent ``multiprocessing`` pool — consults the on-disk
 :class:`~repro.experiments.cache.ResultCache` before dispatching, and
@@ -43,6 +47,7 @@ __all__ = [
     "ShardExecutor",
     "ProgressReporter",
     "default_jobs",
+    "experiment_table",
     "single_shard",
 ]
 
@@ -61,17 +66,17 @@ class Shard:
     ``run_shard`` needs; ``seed`` is the derived per-shard seed.
     """
 
-    experiment: str
     key: Tuple
     params: Dict = field(default_factory=dict)
     seed: int = 0
 
-    def label(self) -> str:
-        return "/".join(str(part) for part in self.key)
-
 
 class ShardedExperiment:
-    """An experiment decomposed into shards plus a pure merge step."""
+    """An experiment decomposed into shards plus a pure merge step.
+
+    ``claim`` is the one-line paper claim the experiment reproduces;
+    the EXPERIMENTS.md report quotes it above the regenerated table.
+    """
 
     def __init__(
         self,
@@ -79,11 +84,13 @@ class ShardedExperiment:
         make_shards: Callable[..., List[Shard]],
         run_shard: Callable[[Shard, str], object],
         merge: Callable[..., Dict],
+        claim: str,
     ):
         self.name = name
         self.make_shards = make_shards
         self.run_shard = run_shard
         self.merge = merge
+        self.claim = claim
 
     def shards(self, scale: str = "quick", seed: int = 0, **kw) -> List[Shard]:
         shards = self.make_shards(scale=scale, seed=seed, **kw)
@@ -109,7 +116,9 @@ class ShardedExperiment:
         return self.merge(payloads, scale=scale, seed=seed, **kw)
 
 
-def single_shard(name: str, compute: Callable[..., Dict]) -> ShardedExperiment:
+def single_shard(
+    name: str, compute: Callable[..., Dict], claim: str
+) -> ShardedExperiment:
     """Wrap a monolithic (cheap or indivisible) experiment as one shard.
 
     ``compute`` keeps the classic ``(scale, seed, **kw) -> result``
@@ -117,7 +126,7 @@ def single_shard(name: str, compute: Callable[..., Dict]) -> ShardedExperiment:
     """
 
     def make_shards(scale: str = "quick", seed: int = 0, **kw) -> List[Shard]:
-        return [Shard(name, ("all",), dict(kw), seed)]
+        return [Shard(("all",), dict(kw), seed)]
 
     def run_shard(shard: Shard, scale: str):
         return compute(scale=scale, seed=shard.seed, **shard.params)
@@ -125,16 +134,28 @@ def single_shard(name: str, compute: Callable[..., Dict]) -> ShardedExperiment:
     def merge(payloads, scale: str, seed: int, **kw) -> Dict:
         return payloads[("all",)]
 
-    return ShardedExperiment(name, make_shards, run_shard, merge)
+    return ShardedExperiment(name, make_shards, run_shard, merge, claim)
+
+
+def experiment_table(
+    experiments: List[ShardedExperiment],
+) -> Dict[str, ShardedExperiment]:
+    """Id -> experiment, in the given order; an id may appear once."""
+    table: Dict[str, ShardedExperiment] = {}
+    for experiment in experiments:
+        if experiment.name in table:
+            raise ValueError(f"duplicate experiment id {experiment.name!r}")
+        table[experiment.name] = experiment
+    return table
 
 
 def _run_shard_task(item: Tuple[str, Shard, str]):
     """Top-level (hence picklable) pool task: run one shard."""
     name, shard, scale = item
-    from . import get_sharded
+    from . import EXPERIMENTS
 
     start = time.perf_counter()
-    payload = get_sharded(name).run_shard(shard, scale)
+    payload = EXPERIMENTS[name].run_shard(shard, scale)
     return shard.key, payload, time.perf_counter() - start
 
 

@@ -23,7 +23,7 @@ from . import EXPERIMENTS, SCALES
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .parallel import ProgressReporter, ShardExecutor, default_jobs
 
-__all__ = ["main"]
+__all__ = ["main", "reject_unknown"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,6 +79,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def reject_unknown(names) -> bool:
+    """Report the ids in ``names`` that name no experiment on stderr;
+    True when there is at least one (the caller exits 2)."""
+    unknown = [name for name in names if name not in EXPERIMENTS]
+    if unknown:
+        print(
+            f"unknown experiment(s): {', '.join(unknown)}; "
+            f"known: {', '.join(EXPERIMENTS)}",
+            file=sys.stderr,
+        )
+    return bool(unknown)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -89,13 +102,7 @@ def main(argv=None) -> int:
         return 0
 
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        print(
-            f"unknown experiment(s): {', '.join(unknown)}; "
-            f"known: {', '.join(EXPERIMENTS)}",
-            file=sys.stderr,
-        )
+    if reject_unknown(names):
         return 2
 
     jobs = default_jobs() if args.jobs is None else max(1, args.jobs)
@@ -107,7 +114,7 @@ def main(argv=None) -> int:
     with ShardExecutor(jobs=jobs, cache=cache, progress=progress) as executor:
         for name in names:
             start = time.time()
-            result = EXPERIMENTS[name](
+            result = EXPERIMENTS[name].run(
                 scale=args.scale, seed=args.seed, executor=executor
             )
             elapsed = time.time() - start

@@ -31,7 +31,7 @@ SPEEDUP_SCALES = [0.25, 0.5, 1.0, 2.0, 4.0]
 
 def _interchiplet_shards(scale: str = "quick", seed: int = 0) -> List[Shard]:
     return [
-        Shard("sens-interchiplet", (chiplets, cycles),
+        Shard((chiplets, cycles),
               {"chiplets": chiplets, "cycles": cycles},
               derive_seed(seed, "sens-interchiplet"))
         for chiplets in (2, 6)
@@ -84,19 +84,16 @@ def _interchiplet_merge(payloads: Dict, scale: str, seed: int) -> Dict:
 SHARDED_INTERCHIPLET = ShardedExperiment(
     "sens-interchiplet", _interchiplet_shards, _interchiplet_shard,
     _interchiplet_merge,
+    claim="6-chiplet tail +45% going from 60 to 100 inter-chiplet cycles",
 )
-
-
-def run_interchiplet(scale: str = "quick", seed: int = 0, executor=None) -> Dict:
-    """Classic entry point; delegates to the sharded executor path."""
-    return SHARDED_INTERCHIPLET.run(scale=scale, seed=seed, executor=executor)
+run_interchiplet = SHARDED_INTERCHIPLET.run
 
 
 # -- VII.C.5: accelerator speedups ---------------------------------------
 
 def _speedups_shards(scale: str = "quick", seed: int = 0) -> List[Shard]:
     return [
-        Shard("sens-speedups", (speedup_scale, arch),
+        Shard((speedup_scale, arch),
               {"speedup_scale": speedup_scale, "architecture": arch},
               derive_seed(seed, "sens-speedups"))
         for speedup_scale in SPEEDUP_SCALES
@@ -138,12 +135,9 @@ def _speedups_merge(payloads: Dict, scale: str, seed: int) -> Dict:
 
 SHARDED_SPEEDUPS = ShardedExperiment(
     "sens-speedups", _speedups_shards, _speedups_shard, _speedups_merge,
+    claim="AccelFlow-over-RELIEF gain: 1.4x @0.25x speedups -> 3.9x @4x",
 )
-
-
-def run_speedups(scale: str = "quick", seed: int = 0, executor=None) -> Dict:
-    """Classic entry point; delegates to the sharded executor path."""
-    return SHARDED_SPEEDUPS.run(scale=scale, seed=seed, executor=executor)
+run_speedups = SHARDED_SPEEDUPS.run
 
 
 # -- Section IX: load-adaptive offload -----------------------------------
@@ -156,7 +150,7 @@ _ADAPTIVE_SERVICES = ("UniqId", "StoreP")
 
 def _adaptive_shards(scale: str = "quick", seed: int = 0) -> List[Shard]:
     return [
-        Shard("sens-adaptive", (rate_scale, arch),
+        Shard((rate_scale, arch),
               {"rate_scale": rate_scale, "architecture": arch},
               derive_seed(seed, "sens-adaptive", rate_scale))
         for rate_scale in ADAPTIVE_SCALES
@@ -214,15 +208,14 @@ def _adaptive_merge(payloads: Dict, scale: str, seed: int) -> Dict:
 
 SHARDED_ADAPTIVE = ShardedExperiment(
     "sens-adaptive", _adaptive_shards, _adaptive_shard, _adaptive_merge,
+    claim=(
+        "(future work) adaptive load-aware offload: "
+        "matches AccelFlow unloaded, wins under accelerator saturation"
+    ),
 )
-
-
-def run_adaptive(scale: str = "quick", seed: int = 0, executor=None) -> Dict:
-    """Future work (Section IX): load-adaptive offload decisions.
-
-    Compares stock AccelFlow against the adaptive variant that bypasses
-    congested accelerators to software, across load multipliers. The
-    expected shape: identical at light load (no bypasses), adaptive
-    ahead once accelerator queues build.
-    """
-    return SHARDED_ADAPTIVE.run(scale=scale, seed=seed, executor=executor)
+# Future work (Section IX): load-adaptive offload decisions. Compares
+# stock AccelFlow against the adaptive variant that bypasses congested
+# accelerators to software, across load multipliers. The expected
+# shape: identical at light load (no bypasses), adaptive ahead once
+# accelerator queues build.
+run_adaptive = SHARDED_ADAPTIVE.run

@@ -67,9 +67,11 @@ def _compute(scale: str = "quick", seed: int = 0) -> Dict:
     return {"connectivity": table_data, "table": table}
 
 
-SHARDED = single_shard("table1", _compute)
-
-
-def run(scale: str = "quick", seed: int = 0, executor=None) -> Dict:
-    """Classic entry point; delegates to the sharded executor path."""
-    return SHARDED.run(scale=scale, seed=seed, executor=executor)
+SHARDED = single_shard(
+    "table1", _compute,
+    claim=(
+        "Each accelerator exchanges data with several others (flexible links "
+        "needed)"
+    ),
+)
+run = SHARDED.run

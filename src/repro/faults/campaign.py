@@ -49,6 +49,7 @@ __all__ = [
     "SLO_MULTIPLIER",
     "DRAIN_NS",
     "cell_config",
+    "score",
     "run_cell",
     "aggregate",
 ]
@@ -159,14 +160,41 @@ def _total_ops(server: SimulatedServer) -> float:
     )
 
 
-def _p99(in_flight, env_now: float) -> float:
+def score(in_flight, now_ns: float, slo_ns: float) -> Dict[str, float]:
+    """Latency and availability of one chaos run's submissions.
+
+    A censored (unfinished) request counts with latency ``now_ns -
+    arrival_ns`` and against availability: a request is *available*
+    when it completed with no error, no fatal timeout and a latency
+    within ``slo_ns``, out of every submission.
+    """
     recorder = LatencyRecorder()
+    available = errors = timeouts = censored = 0
     for request, _process in in_flight:
-        if request.completed:
-            recorder.record(request.latency_ns)
-        else:
-            recorder.record(env_now - request.arrival_ns)
-    return recorder.p99() if len(recorder) else 0.0
+        if not request.completed:
+            censored += 1
+            recorder.record(now_ns - request.arrival_ns)
+            continue
+        recorder.record(request.latency_ns)
+        if request.error:
+            errors += 1
+        if request.timed_out:
+            timeouts += 1
+        if (
+            not request.error
+            and not request.timed_out
+            and request.latency_ns <= slo_ns
+        ):
+            available += 1
+    return {
+        "availability": available / len(in_flight) if in_flight else 0.0,
+        "p99_ns": recorder.p99() if len(recorder) else 0.0,
+        "mean_ns": recorder.mean() if len(recorder) else 0.0,
+        "completed": float(len(in_flight) - censored),
+        "censored": float(censored),
+        "errors": float(errors),
+        "timeouts": float(timeouts),
+    }
 
 
 def run_cell(
@@ -182,25 +210,14 @@ def run_cell(
     slo_ns, clean_flight, clean_server = calibrate_slo(
         spec, config, SLO_MULTIPLIER
     )
-    clean_p99 = _p99(clean_flight, clean_server.env.now)
+    clean_p99 = score(clean_flight, clean_server.env.now, slo_ns)["p99_ns"]
     clean_ops = _total_ops(clean_server)
 
     obs = _slo_obs(slo_ns)
     config = replace(config, faults=SCENARIOS[scenario], obs=obs)
     server = make_server(config)
     in_flight = drive(server, [spec], config)
-
-    available = censored = 0
-    for request, _process in in_flight:
-        if not request.completed:
-            censored += 1
-            continue
-        if (
-            not request.error
-            and not request.timed_out
-            and request.latency_ns <= slo_ns
-        ):
-            available += 1
+    faulty = score(in_flight, server.env.now, slo_ns)
 
     # MTTR from the alert plane: firing -> resolved per lifecycle;
     # alerts still firing at the end of the run are charged up to now.
@@ -217,14 +234,14 @@ def run_cell(
     faulty_ops = _total_ops(server)
     plane = server.fault_plane
     return {
-        "availability": available / len(in_flight) if in_flight else 0.0,
-        "p99_inflation": _p99(in_flight, end_ns) / clean_p99
+        "availability": faulty["availability"],
+        "p99_inflation": faulty["p99_ns"] / clean_p99
         if clean_p99 > 0
         else 0.0,
         "mttr_ns": mttr_ns,
         "amplification": faulty_ops / clean_ops if clean_ops > 0 else 0.0,
         "alerts_fired": float(len(spans)),
-        "censored": float(censored),
+        "censored": faulty["censored"],
         "injected": float(plane.total_injected()) if plane is not None else 0.0,
         "slo_ns": slo_ns,
     }

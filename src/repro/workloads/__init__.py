@@ -1,8 +1,7 @@
 """Workload models: services, costs, payloads, arrival processes."""
 
-from .alibaba import alibaba_arrivals, verify_average_rate
-from .arrivals import ClosedBatch, MmppArrivals, PoissonArrivals, make_arrivals
-from .azure import azure_arrivals
+from .alibaba import verify_average_rate
+from .arrivals import MmppArrivals, PoissonArrivals, make_arrivals
 from .calibration import (
     ALIBABA_AVERAGE_RPS,
     AVERAGE_TAX_FRACTIONS,
@@ -48,7 +47,6 @@ __all__ = [
     "CATEGORY_OF_KIND",
     "COARSE_ACCELERATOR_SLOTS",
     "COARSE_SPEEDUPS",
-    "ClosedBatch",
     "CostModel",
     "CpuSegment",
     "MS",
@@ -68,8 +66,6 @@ __all__ = [
     "TaxCategory",
     "TraceInvocation",
     "US",
-    "alibaba_arrivals",
-    "azure_arrivals",
     "make_arrivals",
     "coarse_machine_params",
     "count_ops_by_category",

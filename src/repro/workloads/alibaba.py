@@ -5,40 +5,18 @@ matching the 8 SocialNetwork services and replays their real invocation
 rates (average 13.4K RPS per service). The public characterization of
 those traces shows diurnal rate skew across services and short bursty
 regimes; we reproduce both with per-service rates fixed in the service
-specs (averaging 13.4K RPS) and MMPP burstiness.
+specs (averaging 13.4K RPS) and MMPP burstiness
+(``make_arrivals("alibaba", ...)`` in :mod:`repro.workloads.arrivals`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from ..sim import RandomStreams
-from .arrivals import MmppArrivals
 from .calibration import ALIBABA_AVERAGE_RPS
 from .spec import ServiceSpec
 
-__all__ = ["alibaba_arrivals", "verify_average_rate"]
-
-#: Alibaba-like burstiness: moderate bursts, ~4x rate inflation.
-BURST_FACTOR = 5.0
-BURST_SHARE = 0.10
-
-
-def alibaba_arrivals(
-    services: List[ServiceSpec],
-    streams: RandomStreams,
-    rate_scale: float = 1.0,
-) -> Dict[str, MmppArrivals]:
-    """Per-service bursty arrival generators at production-like rates."""
-    return {
-        spec.name: MmppArrivals(
-            rate_rps=spec.rate_rps * rate_scale,
-            stream=streams.stream(f"arrivals/{spec.name}"),
-            burst_factor=BURST_FACTOR,
-            burst_share=BURST_SHARE,
-        )
-        for spec in services
-    }
+__all__ = ["verify_average_rate"]
 
 
 def verify_average_rate(services: List[ServiceSpec], tolerance: float = 0.02) -> bool:

@@ -1,6 +1,7 @@
 """Open-loop arrival generators.
 
-Three generators cover the paper's load models:
+Two generators cover the paper's load models, and :func:`make_arrivals`
+is the one place each named shape is defined:
 
 * :class:`PoissonArrivals` — the Figure 12 load sweeps (5K/10K/15K RPS
   Poisson inter-arrivals).
@@ -9,8 +10,6 @@ Three generators cover the paper's load models:
   (Fig 11) and, with spikier parameters, Azure's serverless traces
   (Fig 16). Real production traces alternate calm and bursty regimes;
   MMPP-2 is the standard parsimonious model of that behaviour.
-* :class:`ClosedBatch` — a fixed number of back-to-back requests, one
-  in flight at a time (the unloaded single-request runs of Fig 17).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Iterator
 
 from ..sim import Stream
 
-__all__ = ["PoissonArrivals", "MmppArrivals", "ClosedBatch", "make_arrivals"]
+__all__ = ["PoissonArrivals", "MmppArrivals", "make_arrivals"]
 
 _SECOND_NS = 1e9
 
@@ -37,7 +36,9 @@ def make_arrivals(
 
     ``"poisson"`` is the Figure 12 sweep; ``"alibaba"`` and ``"azure"``
     are fixed MMPP-2 parameterizations standing in for the respective
-    production traces; ``"mmpp"`` is an MMPP-2 with caller-chosen burst
+    production traces (Alibaba: moderate bursts; Azure Functions: rare
+    but violent spikes, the idle-then-spike invocation pattern of
+    serverless traffic); ``"mmpp"`` is an MMPP-2 with caller-chosen burst
     shape (the keyword arguments, ignored by the named modes) for runs
     whose horizon is shorter than the trace-scale 20 ms regime dwells.
     Both the single-server driver and the cluster driver resolve their
@@ -148,15 +149,3 @@ class MmppArrivals:
     def gaps(self, count: int) -> Iterator[float]:
         for _ in range(count):
             yield self.next_gap_ns()
-
-
-class ClosedBatch:
-    """One request at a time, back to back (unloaded measurements)."""
-
-    def __init__(self, think_time_ns: float = 0.0):
-        if think_time_ns < 0:
-            raise ValueError("think time must be non-negative")
-        self.think_time_ns = think_time_ns
-
-    def next_gap_ns(self) -> float:
-        return self.think_time_ns

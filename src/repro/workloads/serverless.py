@@ -5,7 +5,7 @@ document processing) under Microsoft Azure production traces, colocated
 on one server, and reports per-function P99 for Non-acc, RELIEF and
 AccelFlow. FunctionBench sources and the Azure traces are substituted
 with parameterized function models and a bursty arrival generator
-(:mod:`repro.workloads.azure`): short functions, heavy tax share
+(``make_arrivals("azure", ...)``): short functions, heavy tax share
 (encryption + serialization dominated), spiky invocations.
 """
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import bar_chart, generate_report, series_chart
-from repro.analysis.report import PAPER_CLAIMS
+from repro.analysis.report import main as report_main
 from repro.experiments import EXPERIMENTS
 
 
@@ -47,7 +47,9 @@ class TestSeriesChart:
 
 class TestReport:
     def test_claims_cover_every_experiment(self):
-        assert set(PAPER_CLAIMS) == set(EXPERIMENTS)
+        # Each experiment carries the paper claim its report section quotes.
+        for name, experiment in EXPERIMENTS.items():
+            assert experiment.claim.strip(), name
 
     def test_generate_report_subset(self):
         report = generate_report(scale="smoke", only=["table4", "table2"])
@@ -58,7 +60,31 @@ class TestReport:
 
     def test_report_quotes_paper_claims(self):
         report = generate_report(scale="smoke", only=["table4"])
-        assert PAPER_CLAIMS["table4"] in report
+        assert EXPERIMENTS["table4"].claim in report
+
+
+class TestReportCli:
+    """The report CLI refuses what the runner refuses, before any run."""
+
+    def test_unknown_scale_exits_2(self, tmp_path, capsys):
+        output = tmp_path / "report.md"
+        with pytest.raises(SystemExit) as exit_info:
+            report_main(["--scale", "enormous", "--only", "table2",
+                         "-o", str(output)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'enormous'" in capsys.readouterr().err
+        assert not output.exists()
+
+    def test_unknown_only_id_exits_2_before_running(self, tmp_path, capsys):
+        output = tmp_path / "report.md"
+        code = report_main(["--scale", "smoke", "--no-cache", "--jobs", "1",
+                            "--only", "table2", "warp-figure",
+                            "-o", str(output)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment(s): warp-figure;" in err
+        assert "[report]" not in err  # table2 never ran
+        assert not output.exists()
 
 
 class TestSparkline:

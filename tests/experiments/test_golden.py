@@ -43,7 +43,9 @@ def test_fixture_set_matches_registry():
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_golden(name, update_golden, golden_executor):
-    result = EXPERIMENTS[name](scale=SCALE, seed=SEED, executor=golden_executor)
+    result = EXPERIMENTS[name].run(
+        scale=SCALE, seed=SEED, executor=golden_executor
+    )
     table = normalize(result["table"])
 
     path = golden_path(name)

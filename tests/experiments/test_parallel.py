@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, SHARDED, get_sharded
+from repro.experiments import EXPERIMENTS
 from repro.experiments.cache import ResultCache, code_fingerprint
 from repro.experiments.parallel import (
     Shard,
@@ -16,6 +16,7 @@ from repro.experiments.parallel import (
     ShardExecutor,
     _run_shard_task,
     default_jobs,
+    experiment_table,
     single_shard,
 )
 from repro.sim import derive_seed
@@ -25,9 +26,9 @@ class TestParallelEqualsSerial:
     def test_multi_shard_experiment_through_pool(self):
         # fig1 fans out one shard per service; force the real
         # multiprocessing path and check byte-identical tables.
-        serial = EXPERIMENTS["fig1"](scale="smoke", seed=0)
+        serial = EXPERIMENTS["fig1"].run(scale="smoke", seed=0)
         with ShardExecutor(jobs=2) as executor:
-            parallel = EXPERIMENTS["fig1"](
+            parallel = EXPERIMENTS["fig1"].run(
                 scale="smoke", seed=0, executor=executor
             )
         assert parallel["table"] == serial["table"]
@@ -36,17 +37,21 @@ class TestParallelEqualsSerial:
 
 class TestFramework:
     def test_registry_covers_every_experiment(self):
-        assert set(SHARDED) == set(EXPERIMENTS)
-        for name, sharded in SHARDED.items():
-            assert sharded.name == name
+        # One table: each entry is keyed by its own id.
+        for name, experiment in EXPERIMENTS.items():
+            assert experiment.name == name
 
-    def test_get_sharded_unknown(self):
-        with pytest.raises(KeyError, match="unknown experiment"):
-            get_sharded("warp-figure")
+    def test_duplicate_experiment_id_rejected(self):
+        first = single_shard("twin", lambda scale, seed: {}, claim="a")
+        second = single_shard("twin", lambda scale, seed: {}, claim="b")
+        other = single_shard("other", lambda scale, seed: {}, claim="c")
+        assert list(experiment_table([first, other])) == ["twin", "other"]
+        with pytest.raises(ValueError, match="duplicate experiment id 'twin'"):
+            experiment_table([first, other, second])
 
     def test_shards_are_picklable(self):
         for name in ("fig1", "fig13", "char-energy"):
-            for shard in SHARDED[name].shards(scale="smoke", seed=0):
+            for shard in EXPERIMENTS[name].shards(scale="smoke", seed=0):
                 clone = pickle.loads(pickle.dumps(shard))
                 assert clone.key == shard.key
                 assert clone.seed == shard.seed
@@ -55,10 +60,11 @@ class TestFramework:
         bad = ShardedExperiment(
             "bad",
             lambda scale="quick", seed=0: [
-                Shard("bad", ("x",)), Shard("bad", ("x",))
+                Shard(("x",)), Shard(("x",))
             ],
             lambda shard, scale: None,
             lambda payloads, scale, seed: {},
+            claim="bad",
         )
         with pytest.raises(ValueError, match="duplicate shard keys"):
             bad.shards()
@@ -70,13 +76,13 @@ class TestFramework:
             calls.append((scale, seed, flavor))
             return {"table": flavor}
 
-        wrapped = single_shard("wrapped", compute)
+        wrapped = single_shard("wrapped", compute, claim="wrapped")
         result = wrapped.run(scale="smoke", seed=7, flavor="spicy")
         assert result == {"table": "spicy"}
         assert calls == [("smoke", 7, "spicy")]
 
     def test_run_shard_task_resolves_registry(self):
-        shard = SHARDED["table2"].shards(scale="smoke", seed=0)[0]
+        shard = EXPERIMENTS["table2"].shards(scale="smoke", seed=0)[0]
         key, payload, duration = _run_shard_task(("table2", shard, "smoke"))
         assert key == shard.key
         assert "traces" in payload
@@ -94,10 +100,11 @@ class TestFramework:
         exp = ShardedExperiment(
             "ordered",
             lambda scale="quick", seed=0: [
-                Shard("ordered", (i,), {}, i) for i in (3, 1, 2)
+                Shard((i,), {}, i) for i in (3, 1, 2)
             ],
             lambda shard, scale: shard.key[0],
             merge,
+            claim="ordered",
         )
         exp.run(scale="smoke", seed=0)
         assert order == [(3,), (1,), (2,)]
@@ -119,17 +126,18 @@ def _counting_experiment(counter):
     return ShardedExperiment(
         "counting",
         lambda scale="quick", seed=0: [
-            Shard("counting", (i,), {}, seed) for i in range(3)
+            Shard((i,), {}, seed) for i in range(3)
         ],
         run_shard,
         lambda payloads, scale, seed: dict(payloads),
+        claim="counting",
     )
 
 
 class TestCache:
     def test_roundtrip_and_stats(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        shard = Shard("exp", ("a", 1), {"p": 2}, 42)
+        shard = Shard(("a", 1), {"p": 2}, 42)
         assert cache.get("exp", "smoke", shard) is None
         cache.put("exp", "smoke", shard, {"value": 7})
         assert cache.get("exp", "smoke", shard) == ({"value": 7},)
@@ -139,19 +147,19 @@ class TestCache:
 
     def test_none_payload_distinguished_from_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        shard = Shard("exp", ("a",))
+        shard = Shard(("a",))
         cache.put("exp", "smoke", shard, None)
         assert cache.get("exp", "smoke", shard) == (None,)
 
     def test_key_sensitivity(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        cache.put("exp", "smoke", Shard("exp", ("a",), {}, 1), "x")
-        assert cache.get("exp", "smoke", Shard("exp", ("a",), {}, 2)) is None
-        assert cache.get("exp", "quick", Shard("exp", ("a",), {}, 1)) is None
-        assert cache.get("exp", "smoke", Shard("exp", ("b",), {}, 1)) is None
+        cache.put("exp", "smoke", Shard(("a",), {}, 1), "x")
+        assert cache.get("exp", "smoke", Shard(("a",), {}, 2)) is None
+        assert cache.get("exp", "quick", Shard(("a",), {}, 1)) is None
+        assert cache.get("exp", "smoke", Shard(("b",), {}, 1)) is None
 
     def test_refresh_recomputes_but_rewrites(self, tmp_path):
-        shard = Shard("exp", ("a",))
+        shard = Shard(("a",))
         ResultCache(str(tmp_path)).put("exp", "smoke", shard, "stale")
         cache = ResultCache(str(tmp_path), refresh=True)
         assert cache.get("exp", "smoke", shard) is None
@@ -160,7 +168,7 @@ class TestCache:
 
     def test_corrupt_entry_counts_as_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        shard = Shard("exp", ("a",))
+        shard = Shard(("a",))
         cache.put("exp", "smoke", shard, "ok")
         path = cache.path_for("exp", "smoke", shard)
         with open(path, "wb") as handle:

@@ -25,7 +25,7 @@ _serial_cache = {}
 def _serial(name, seed):
     key = (name, seed)
     if key not in _serial_cache:
-        _serial_cache[key] = EXPERIMENTS[name](scale="smoke", seed=seed)
+        _serial_cache[key] = EXPERIMENTS[name].run(scale="smoke", seed=seed)
     return _serial_cache[key]
 
 
@@ -41,5 +41,7 @@ def _serial(name, seed):
 )
 def test_merged_result_matches_serial(name, seed, jobs):
     with ShardExecutor(jobs=jobs) as executor:
-        parallel = EXPERIMENTS[name](scale="smoke", seed=seed, executor=executor)
+        parallel = EXPERIMENTS[name].run(
+            scale="smoke", seed=seed, executor=executor
+        )
     assert parallel == _serial(name, seed)

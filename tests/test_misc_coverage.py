@@ -8,40 +8,24 @@ from repro.orchestration.base import REMOTE_ARCHITECTURE_SCALE
 from repro.sim import RandomStreams
 from repro.workloads import (
     ALIBABA_AVERAGE_RPS,
-    alibaba_arrivals,
-    azure_arrivals,
-    serverless_functions,
+    make_arrivals,
     social_network_services,
     verify_average_rate,
 )
 
 
 class TestArrivalFactories:
-    def test_alibaba_builds_one_generator_per_service(self):
-        services = social_network_services()
-        arrivals = alibaba_arrivals(services, RandomStreams(0))
-        assert set(arrivals) == {s.name for s in services}
-        for spec in services:
-            assert arrivals[spec.name].rate_rps == spec.rate_rps
-
-    def test_alibaba_rate_scale(self):
-        services = social_network_services()
-        arrivals = alibaba_arrivals(services, RandomStreams(0), rate_scale=2.0)
-        assert arrivals["UniqId"].rate_rps == pytest.approx(
-            2.0 * 30000.0
-        )
-
     def test_alibaba_average_matches_paper(self):
         assert verify_average_rate(social_network_services())
         mean = sum(s.rate_rps for s in social_network_services()) / 8
         assert mean == pytest.approx(ALIBABA_AVERAGE_RPS, rel=0.02)
 
     def test_azure_is_spikier_than_alibaba(self):
-        functions = serverless_functions()
-        azure = azure_arrivals(functions, RandomStreams(0))
-        alibaba = alibaba_arrivals(functions, RandomStreams(1))
-        name = functions[0].name
-        assert azure[name].burst_factor > alibaba[name].burst_factor
+        streams = RandomStreams(0)
+        azure = make_arrivals("azure", 1000.0, streams.stream("a"))
+        alibaba = make_arrivals("alibaba", 1000.0, streams.stream("b"))
+        assert azure.burst_factor > alibaba.burst_factor
+        assert azure.burst_share < alibaba.burst_share
 
 
 class TestRemoteScaling:

@@ -14,7 +14,6 @@ from repro.workloads import (
     CATEGORY_OF_KIND,
     SIZE_FACTORS,
     BranchProbabilities,
-    ClosedBatch,
     CostModel,
     CpuSegment,
     MmppArrivals,
@@ -292,9 +291,3 @@ class TestArrivals:
             MmppArrivals(100.0, stream, burst_factor=0.5)
         with pytest.raises(ValueError):
             MmppArrivals(100.0, stream, burst_share=1.5)
-
-    def test_closed_batch(self):
-        gen = ClosedBatch(think_time_ns=100.0)
-        assert gen.next_gap_ns() == 100.0
-        with pytest.raises(ValueError):
-            ClosedBatch(-1.0)
