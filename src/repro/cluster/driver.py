@@ -132,11 +132,6 @@ class ClusterResult:
         """Exact completions plus analytically completed fluid mass."""
         return self.completed + self.fluid_completed_mass()
 
-    def merged_throughput_rps(self) -> float:
-        if self.elapsed_ns <= 0:
-            return 0.0
-        return self.merged_completed() / (self.elapsed_ns * 1e-9)
-
     def merged_mean_ns(self) -> float:
         """Mean latency over exact samples and fluid estimates, weighted
         by how much work each tier completed."""
@@ -166,12 +161,6 @@ class ClusterResult:
             else 0.0
         )
         return exact + fluid
-
-    def mean_outstanding(self) -> float:
-        """Time-averaged jobs in the system over the run's own window."""
-        if self.elapsed_ns <= 0:
-            return 0.0
-        return self.jobs_integral_ns() / self.elapsed_ns
 
     def mean_p99_ns(self) -> float:
         """Unweighted mean of per-service P99s (the paper's averages)."""

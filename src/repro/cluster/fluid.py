@@ -212,9 +212,6 @@ class FluidTier:
     # ------------------------------------------------------------------
     # Tier state
     # ------------------------------------------------------------------
-    def tier_of(self, machine) -> str:
-        return self._tiers.get(machine.index, EXACT)
-
     def is_fluid(self, machine) -> bool:
         return self._tiers.get(machine.index, EXACT) == FLUID
 

@@ -25,9 +25,6 @@ class TenantManager:
         self.throttled = 0
         self.started = 0
 
-    def active_traces(self, tenant: int) -> int:
-        return self._active.get(tenant, 0)
-
     def try_start(self, tenant: int) -> bool:
         """Attempt to start a trace for ``tenant``.
 

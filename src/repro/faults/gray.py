@@ -63,10 +63,6 @@ class GrayFaults:
         self.limping = False
         #: id(accel) -> slowdown factor for the open window.
         self._slow: Dict[int, float] = {}
-        # Injection counters (folded into the plane's stats()).
-        self.limps = 0
-        self.slowdowns = 0
-        self.ramps = 0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -77,7 +73,6 @@ class GrayFaults:
         if config.gray_limp_probability > 0.0:
             if self._machine_stream.bernoulli(config.gray_limp_probability):
                 self.limping = True
-                self.limps += 1
                 self.plane.emit(
                     "gray-limp", {"factor": config.gray_limp_factor}
                 )
@@ -142,7 +137,6 @@ class GrayFaults:
             key = id(accel)
             if key in self._slow:
                 continue  # window already open on this instance
-            self.slowdowns += 1
             self.plane.emit(
                 "gray-slowdown",
                 {"accel": accel.kind.value,
@@ -170,7 +164,6 @@ class GrayFaults:
             yield env.timeout(stream.exponential(config.gray_ramp_interval_ns))
             if factors.get(placement, 1.0) > 1.0:
                 continue  # hop already congested (e.g. NIC window open)
-            self.ramps += 1
             self.plane.emit(
                 "gray-ramp",
                 {"placement": placement.value,

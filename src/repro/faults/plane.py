@@ -11,8 +11,8 @@ comparisons stay common-random-number aligned.
 
 Manager outages are injected by :class:`~repro.orchestration.hw_manager.
 HwManagerOrchestrator` itself (only that family has a manager); the
-plane supplies the stream and the counter so all fault accounting lives
-in one place.
+plane supplies the stream, and :meth:`FaultPlane.emit` counts every
+injection of every category, so all fault accounting lives in one place.
 """
 
 from __future__ import annotations
@@ -23,6 +23,23 @@ from ..sim import Environment, Event, RandomStreams
 from .config import FaultConfig
 
 __all__ = ["FaultPlane"]
+
+#: Every injection category, as passed to :meth:`FaultPlane.emit`.
+CATEGORIES = (
+    "pe-transient",
+    "pe-wedge",
+    "pe-stuck",
+    "dma-stall",
+    "dma-corruption",
+    "noc-flap",
+    "pcie-flap",
+    "nic-congestion",
+    "atm-outage",
+    "manager-outage",
+    "gray-limp",
+    "gray-slowdown",
+    "gray-ramp",
+)
 
 
 class FaultPlane:
@@ -65,18 +82,9 @@ class FaultPlane:
         self._down_placements: Dict[object, Event] = {}
         #: Placement -> crossing-time multiplier (>1 during congestion).
         self._placement_factors: Dict[object, float] = {}
-
-        # Injection counters (surfaced through stats() and obs gauges).
-        self.pe_transients = 0
-        self.pe_wedges = 0
-        self.pe_stuck = 0
-        self.dma_stalls = 0
-        self.dma_corruptions = 0
-        self.link_flaps = 0
-        self.pcie_flaps = 0
-        self.nic_congestions = 0
-        self.atm_outages = 0
-        self.manager_outages = 0
+        #: Injections per category (surfaced through stats() and obs
+        #: gauges); :meth:`emit` is the only writer.
+        self.injected: Dict[str, int] = dict.fromkeys(CATEGORIES, 0)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -118,8 +126,10 @@ class FaultPlane:
             self.gray.attach(hardware)
 
     def emit(self, name: str, args: Optional[dict] = None) -> None:
-        """Publish a fault as a ``FaultInjected`` event when a bus is
-        attached (a session tracer draws it on its faults track)."""
+        """Count one injection of category ``name`` and publish it as a
+        ``FaultInjected`` event when a bus is attached (a session tracer
+        draws it on its faults track)."""
+        self.injected[name] += 1
         if self.bus is not None:
             from ..obs.telemetry import FaultInjected
 
@@ -136,7 +146,6 @@ class FaultPlane:
             return 0.0
         if not self._pe_stream.bernoulli(self.config.pe_wedge_rate):
             return 0.0
-        self.pe_wedges += 1
         self.emit("pe-wedge", {"accel": accel.kind.value,
                                "ns": self.config.pe_wedge_ns})
         return self.config.pe_wedge_ns
@@ -147,7 +156,6 @@ class FaultPlane:
             return False
         if not self._pe_stream.bernoulli(self.config.pe_transient_rate):
             return False
-        self.pe_transients += 1
         self.emit("pe-transient", {"accel": accel.kind.value})
         return True
 
@@ -162,7 +170,6 @@ class FaultPlane:
             return 0.0
         if not self._dma_stream.bernoulli(self.config.dma_stall_rate):
             return 0.0
-        self.dma_stalls += 1
         self.emit("dma-stall", {"ns": self.config.dma_stall_ns})
         return self.config.dma_stall_ns
 
@@ -171,7 +178,6 @@ class FaultPlane:
             return False
         if not self._dma_stream.bernoulli(self.config.dma_corruption_rate):
             return False
-        self.dma_corruptions += 1
         self.emit("dma-corruption")
         return True
 
@@ -223,7 +229,6 @@ class FaultPlane:
             pe = accel._free_pes.try_get()
             if pe is None:
                 continue  # every PE busy: the fault window passes unnoticed
-            self.pe_stuck += 1
             self.emit("pe-stuck", {"accel": accel.kind.value, "pe": pe.index,
                                    "repair_ns": config.pe_repair_ns})
             yield env.timeout(config.pe_repair_ns)
@@ -242,7 +247,6 @@ class FaultPlane:
             pair = pairs[stream.randint(0, len(pairs) - 1)]
             if pair in self._down_links:
                 continue
-            self.link_flaps += 1
             self.emit("noc-flap", {"link": f"{pair[0]}-{pair[1]}",
                                    "down_ns": config.noc_flap_down_ns})
             gate = self.env.event()
@@ -262,7 +266,6 @@ class FaultPlane:
             yield env.timeout(stream.exponential(config.pcie_flap_interval_ns))
             if Placement.PCIE in self._down_placements:
                 continue
-            self.pcie_flaps += 1
             self.emit("pcie-flap", {"down_ns": config.pcie_flap_down_ns})
             gate = env.event()
             self._down_placements[Placement.PCIE] = gate
@@ -283,7 +286,6 @@ class FaultPlane:
             )
             if self._placement_factors.get(Placement.NIC, 1.0) > 1.0:
                 continue
-            self.nic_congestions += 1
             self.emit(
                 "nic-congestion",
                 {"ns": config.nic_congestion_ns,
@@ -300,7 +302,6 @@ class FaultPlane:
         stream = self._atm_stream
         for _ in range(config.atm_outage_max):
             yield env.timeout(stream.exponential(config.atm_outage_interval_ns))
-            self.atm_outages += 1
             self.emit("atm-outage", {"ns": config.atm_outage_ns})
             gate = self.env.event()
             self._atm_gate = gate
@@ -312,39 +313,9 @@ class FaultPlane:
     # Statistics
     # ------------------------------------------------------------------
     def total_injected(self) -> int:
-        gray = self.gray
-        gray_total = 0 if gray is None else (
-            gray.limps + gray.slowdowns + gray.ramps
-        )
-        return (
-            self.pe_transients
-            + self.pe_wedges
-            + self.pe_stuck
-            + self.dma_stalls
-            + self.dma_corruptions
-            + self.link_flaps
-            + self.pcie_flaps
-            + self.nic_congestions
-            + self.atm_outages
-            + self.manager_outages
-            + gray_total
-        )
+        return sum(self.injected.values())
 
     def stats(self) -> Dict[str, float]:
-        gray = self.gray
-        return {
-            "pe_transients": float(self.pe_transients),
-            "pe_wedges": float(self.pe_wedges),
-            "pe_stuck": float(self.pe_stuck),
-            "dma_stalls": float(self.dma_stalls),
-            "dma_corruptions": float(self.dma_corruptions),
-            "link_flaps": float(self.link_flaps),
-            "pcie_flaps": float(self.pcie_flaps),
-            "nic_congestions": float(self.nic_congestions),
-            "atm_outages": float(self.atm_outages),
-            "manager_outages": float(self.manager_outages),
-            "gray_limps": 0.0 if gray is None else float(gray.limps),
-            "gray_slowdowns": 0.0 if gray is None else float(gray.slowdowns),
-            "gray_ramps": 0.0 if gray is None else float(gray.ramps),
-            "total_injected": float(self.total_injected()),
-        }
+        stats = {name: float(count) for name, count in self.injected.items()}
+        stats["total_injected"] = float(self.total_injected())
+        return stats

@@ -45,10 +45,6 @@ class CorePool:
     def in_use(self) -> int:
         return self._cores.count
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._cores.queue)
-
     def execute(self, duration_ns: float, priority: int = None):
         """Process: hold one core for ``duration_ns``."""
         if duration_ns < 0:

@@ -58,9 +58,6 @@ class AreaModel:
     def accelerators_mm2(self) -> float:
         return sum(_ACCEL_AREA_MM2.values())
 
-    def accelerator_mm2(self, kind: AcceleratorKind) -> float:
-        return _ACCEL_AREA_MM2[kind]
-
     @property
     def orchestration_mm2(self) -> float:
         """AccelFlow-specific structures (queues, dispatchers, DMA, net)."""

@@ -5,7 +5,7 @@ from typing import Dict, Type
 
 from .accelflow import AccelFlowOrchestrator, IdealOrchestrator
 from .adaptive import AdaptiveAccelFlowOrchestrator
-from .base import Orchestrator, REMOTE_DEPENDENCY_OF_TRACE, StepOutcome
+from .base import Orchestrator, REMOTE_DEPENDENCY_OF_TRACE
 from .cohort import CohortOrchestrator, DEFAULT_LINKED_PAIRS
 from .cpu_centric import CpuCentricOrchestrator
 from .hw_manager import LADDER_VARIANTS, HwManagerOrchestrator, LadderConfig
@@ -25,7 +25,6 @@ __all__ = [
     "NonAcceleratedOrchestrator",
     "Orchestrator",
     "REMOTE_DEPENDENCY_OF_TRACE",
-    "StepOutcome",
     "make_orchestrator",
 ]
 

@@ -36,7 +36,7 @@ from ..workloads.calibration import OrchestrationCosts, RemoteLatencies
 from ..workloads.costs import CostModel
 from ..workloads.spec import CpuSegment, ParallelInvocations, TraceInvocation
 
-__all__ = ["Orchestrator", "StepOutcome", "REMOTE_DEPENDENCY_OF_TRACE"]
+__all__ = ["Orchestrator", "REMOTE_DEPENDENCY_OF_TRACE"]
 
 #: Which remote dependency a receive-trace waits on (median pick key).
 REMOTE_DEPENDENCY_OF_TRACE: Dict[str, str] = {
@@ -64,11 +64,6 @@ REMOTE_ARCHITECTURE_SCALE: Dict[str, float] = {
     "accelflow-adaptive": 0.29,
     "ideal": 0.28,
 }
-
-
-class StepOutcome:
-    OK = "ok"
-    FALLBACK = "fallback"
 
 
 class Orchestrator:
@@ -204,32 +199,37 @@ class Orchestrator:
         yield from self._chain(request, invocation.entry, state, first=True)
 
     def _chain(self, request: Request, name: str, state: Dict[str, bool], first: bool):
-        iteration = 0
+        """Generator: run trace ``name`` and every trace it links to."""
         while name:
             trace = self.registry.get(name)
             path = trace.resolve(state)
             self.chains_executed += 1
             initiated_by_core = (
-                iteration == 0 and first and path.steps
+                first and path.steps
                 and path.steps[0].kind is not AcceleratorKind.TCP
             )
-            outcome = yield from self.execute_path(
+            # A CPU fallback still continues the chain from the CPU.
+            yield from self.execute_path(
                 request, path, state, initiated_by_core=initiated_by_core
             )
             if path.error:
                 request.error = True
                 return
-            del outcome  # fallback still continues the chain from the CPU
-            next_name = path.next_trace
-            if next_name:
-                next_trace = self.registry.get(next_name)
-                if self._is_remote_boundary(path, next_trace):
-                    ok = yield from self._wait_remote(request, next_name)
-                    if not ok:
-                        return
-            name = next_name
+            name = yield from self._next_trace(request, path)
             first = False
-            iteration += 1
+
+    def _next_trace(self, request: Request, path: ResolvedPath):
+        """Generator: the name of the trace ``path`` links to, or None.
+
+        Across a remote boundary it first waits for the remote response,
+        and returns None when that response was lost for good.
+        """
+        name = path.next_trace
+        if name and self._is_remote_boundary(path, self.registry.get(name)):
+            ok = yield from self._wait_remote(request, name)
+            if not ok:
+                return None
+        return name
 
     def _is_remote_boundary(self, path: ResolvedPath, next_trace) -> bool:
         """A TCP send followed by a TCP receive crosses the network."""
@@ -302,10 +302,11 @@ class Orchestrator:
         state: Dict[str, bool],
         initiated_by_core: bool = False,
     ):
+        """Generator: run one resolved trace, then its parallel fan-out."""
         env = self.env
         steps = path.steps
         if not steps:
-            return StepOutcome.OK
+            return
         # Per-tenant trace accounting (Section IV-D): a trace may only
         # start while the tenant is below its concurrent-trace limit N.
         wait_start = env.now
@@ -318,7 +319,7 @@ class Orchestrator:
                 entry = yield from self.run_step(request, step)
                 if entry is None:
                     yield from self.cpu_fallback(request, steps[index:], state)
-                    return StepOutcome.FALLBACK
+                    return
                 request.accelerator_ops += 1
                 next_step = steps[index + 1] if index + 1 < len(steps) else None
                 yield from self.after_step(request, step, entry, next_step)
@@ -329,30 +330,27 @@ class Orchestrator:
                     # A fatally corrupted hand-off already failed the
                     # request; executing the rest of the trace would only
                     # burn simulated hardware on a dead request.
-                    return StepOutcome.OK
+                    return
         finally:
             self._release_tenant_slot(request.tenant)
-        # Parallel fan-out: arms start once the forking step is done
-        # (each arm's traces claim their own tenant slots).
-        last = steps[-1]
-        if last.fanout:
-            arms = [
-                env.process(self._run_arm(request, arm, state))
-                for arm in last.fanout
-            ]
-            yield env.all_of(arms)
-        return StepOutcome.OK
+        yield from self._fan_out(request, steps[-1].fanout, state)
+
+    def _fan_out(
+        self, request: Request, arms: List[ResolvedPath], state: Dict[str, bool]
+    ):
+        """Generator: run the arms that fork after a trace's last step in
+        parallel (each arm's traces claim their own tenant slots)."""
+        if arms:
+            env = self.env
+            yield env.all_of(
+                [env.process(self._run_arm(request, arm, state)) for arm in arms]
+            )
 
     def _run_arm(self, request: Request, arm: ResolvedPath, state: Dict[str, bool]):
         """Process: one parallel arm, following its own chain links."""
         yield from self.execute_path(request, arm, state)
-        if arm.next_trace:
-            next_trace = self.registry.get(arm.next_trace)
-            if self._is_remote_boundary(arm, next_trace):
-                ok = yield from self._wait_remote(request, arm.next_trace)
-                if not ok:
-                    return
-            yield from self._chain(request, arm.next_trace, state, first=False)
+        name = yield from self._next_trace(request, arm)
+        yield from self._chain(request, name, state, first=False)
 
     # ------------------------------------------------------------------
     # Core execution (deadline-aware when the request carries an SLO)
@@ -438,11 +436,26 @@ class Orchestrator:
         if self.recovery is not None:
             entry = yield from self._run_step_recovered(request, step)
             return entry
-        entry = yield from self._run_step_once(request, step)
+        entry = yield from self._attempt(request, step, {})
         return entry
 
-    def _run_step_once(self, request: Request, step: ResolvedStep):
-        """The fault-free dispatch path (identical to the seed model)."""
+    def _pick_accel(self, kind):
+        """The least-occupied instance of ``kind``; with recovery, the
+        healthiest least-occupied one, or None if every one is tripped."""
+        recovery = self.recovery
+        if recovery is None:
+            return self.hardware.accel(kind)
+        return recovery.pick(self.hardware.instances[kind], self.env.now)
+
+    def _attempt(self, request: Request, step: ResolvedStep, box: Dict):
+        """Generator: one dispatch attempt; the completed entry or None.
+
+        The fault-free path runs it inline; with recovery it is the body
+        of the child process raced against the watchdog. ``box["accel"]``
+        holds the last instance tried, and ``box["fatal"]`` is set when
+        retrying cannot help. A corrupted result returns None. On an
+        Interrupt the entry is abandoned and the Interrupt re-raised.
+        """
         env = self.env
         op = self.cost_model.op_for(request.spec, step.kind, request.wire_size)
         entry = QueueEntry(
@@ -456,21 +469,40 @@ class Orchestrator:
         if rid is not None:
             # Lets the accelerator attribute queue/PE spans to us.
             entry.context["obs_rid"] = rid
-        # Each attempt targets the least-occupied instance of the type
-        # (a failing Enqueue "retries with another accelerator of the
-        # same type", Section IV-A).
-        accel = self.hardware.accel(step.kind)
+        # Each Enqueue targets a freshly picked instance of the type (a
+        # failing Enqueue "retries with another accelerator of the same
+        # type", Section IV-A).
+        accel = self._pick_accel(step.kind)
         retries = 0
-        while not accel.try_enqueue(entry):
-            retries += 1
-            if retries > self.hardware.params.cpu.enqueue_max_retries:
+        try:
+            while accel is not None:
+                box["accel"] = accel
+                if accel.try_enqueue(entry):
+                    break
+                retries += 1
+                if retries > self.hardware.params.cpu.enqueue_max_retries:
+                    accel = None
+                    break
+                yield env.timeout(200.0)
+                accel = self._pick_accel(step.kind)
+            if accel is None:
+                # Queues still full after every retry, or every instance
+                # breaker-open: retrying cannot help, so degrade to CPU.
+                box["fatal"] = True
                 self.fallbacks += 1
                 request.fell_back = True
                 return None
-            yield env.timeout(200.0)
-            accel = self.hardware.accel(step.kind)
-        entry.context["accel"] = accel
-        yield entry.done
+            entry.context["accel"] = accel
+            yield entry.done
+        except Interrupt:
+            # Watchdog (or teardown): the entry may still be queued or
+            # executing; make sure its eventual output slot is freed.
+            self._abandon_entry(accel, entry)
+            raise
+        if entry.context.get("fault") is not None:
+            # Corrupted result: retire it; the caller retries or degrades.
+            accel.consume_output(entry)
+            return None
         request.add(Buckets.QUEUE, entry.queue_wait_ns)
         retire_ns = entry.context.get("retire_ns", 0.0)
         request.add(Buckets.ACCEL, entry.service_ns - retire_ns)
@@ -480,13 +512,6 @@ class Orchestrator:
     # ------------------------------------------------------------------
     # Recovered dispatch (watchdog + retry/backoff + circuit breakers)
     # ------------------------------------------------------------------
-    def _pick_accel(self, kind):
-        """Healthiest least-occupied instance; None if all tripped."""
-        recovery = self.recovery
-        if recovery is None:
-            return self.hardware.accel(kind)
-        return recovery.pick(self.hardware.instances[kind], self.env.now)
-
     def _run_step_recovered(self, request: Request, step: ResolvedStep):
         """Run one step under a watchdog with bounded backoff retries.
 
@@ -502,7 +527,7 @@ class Orchestrator:
             attempt_start = env.now
             box: Dict[str, object] = {}
             attempt = env.process(
-                self._step_attempt(request, step, box),
+                self._raced_attempt(request, step, box),
                 name=f"step-{request.rid}-{step.kind.value}",
             )
             watchdog = env.timeout(config.watchdog_timeout_ns)
@@ -565,71 +590,13 @@ class Orchestrator:
             yield env.timeout(backoff)
             request.add(Buckets.QUEUE, backoff)
 
-    def _step_attempt(self, request: Request, step: ResolvedStep, box: Dict):
-        """Process: one dispatch attempt; results travel via ``box``.
-
-        Keys: "accel" (instance tried), "entry" (completed, fault-free),
-        "fault" (why it failed), "fatal" (no point retrying).
-        """
-        env = self.env
-        op = self.cost_model.op_for(request.spec, step.kind, request.wire_size)
-        entry = QueueEntry(
-            env,
-            op,
-            tenant=request.tenant,
-            priority=request.priority,
-            deadline_ns=request.slo_deadline_ns,
-        )
-        rid = self._obs_rid(request)
-        if rid is not None:
-            entry.context["obs_rid"] = rid
-        accel = self._pick_accel(step.kind)
-        if accel is None:
-            # Every instance of the kind is breaker-open: degrade.
-            box["fault"] = "breaker-open"
-            box["fatal"] = True
-            self.fallbacks += 1
-            request.fell_back = True
-            return
-        box["accel"] = accel
+    def _raced_attempt(self, request: Request, step: ResolvedStep, box: Dict):
+        """Process: :meth:`_attempt`, its entry left in ``box["entry"]``;
+        an Interrupt (watchdog or teardown) ends it quietly."""
         try:
-            retries = 0
-            while not accel.try_enqueue(entry):
-                retries += 1
-                if retries > self.hardware.params.cpu.enqueue_max_retries:
-                    self.fallbacks += 1
-                    request.fell_back = True
-                    box["fault"] = "queue-full"
-                    box["fatal"] = True
-                    return
-                yield env.timeout(200.0)
-                accel = self._pick_accel(step.kind)
-                if accel is None:
-                    box["fault"] = "breaker-open"
-                    box["fatal"] = True
-                    self.fallbacks += 1
-                    request.fell_back = True
-                    return
-                box["accel"] = accel
-            entry.context["accel"] = accel
-            yield entry.done
+            box["entry"] = yield from self._attempt(request, step, box)
         except Interrupt:
-            # Watchdog (or teardown): the entry may still be queued or
-            # executing; make sure its eventual output slot is freed.
-            self._abandon_entry(accel, entry)
-            box["fault"] = "watchdog"
-            return
-        fault = entry.context.get("fault")
-        if fault is not None:
-            # Corrupted result: retire it and report the fault upward.
-            accel.consume_output(entry)
-            box["fault"] = fault
-            return
-        request.add(Buckets.QUEUE, entry.queue_wait_ns)
-        retire_ns = entry.context.get("retire_ns", 0.0)
-        request.add(Buckets.ACCEL, entry.service_ns - retire_ns)
-        request.add(Buckets.ORCHESTRATION, retire_ns)
-        box["entry"] = entry
+            pass
 
     @staticmethod
     def _abandon_entry(accel, entry: QueueEntry) -> None:

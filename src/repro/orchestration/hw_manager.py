@@ -100,7 +100,6 @@ class HwManagerOrchestrator(Orchestrator):
         stream = plane.manager_stream
         for _ in range(config.manager_outage_max):
             yield env.timeout(stream.exponential(config.manager_outage_interval_ns))
-            plane.manager_outages += 1
             plane.emit(
                 "manager-outage",
                 {"orchestrator": self.name, "ns": config.manager_outage_ns},

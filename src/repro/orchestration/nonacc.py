@@ -8,12 +8,11 @@ work executes on CPU cores at full software cost; the only
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from ..core.trace import ResolvedPath, ResolvedStep
-from ..hw.ops import QueueEntry
+from ..core.trace import ResolvedPath
 from ..workloads.request import Request
-from .base import Orchestrator, StepOutcome
+from .base import Orchestrator
 
 __all__ = ["NonAcceleratedOrchestrator"]
 
@@ -33,26 +32,10 @@ class NonAcceleratedOrchestrator(Orchestrator):
     ):
         steps = path.steps
         if not steps:
-            return StepOutcome.OK
+            return
         duration = self.cost_model.software_path_ns(
             request.spec, path, request.wire_size
         )
         yield from self._run_on_core(request, duration)
         request.accelerator_ops += len(steps)
-        fanout = steps[-1].fanout
-        if fanout:
-            env = self.env
-            yield env.all_of(
-                [env.process(self._run_arm(request, arm, state)) for arm in fanout]
-            )
-        return StepOutcome.OK
-
-    def after_step(
-        self,
-        request: Request,
-        step: ResolvedStep,
-        entry: QueueEntry,
-        next_step: Optional[ResolvedStep],
-    ):  # pragma: no cover - never reached (execute_path overridden)
-        raise AssertionError("Non-acc does not execute accelerator steps")
-        yield
+        yield from self._fan_out(request, steps[-1].fanout, state)

@@ -105,12 +105,6 @@ class ServiceResult:
             return self.fluid_est_p99_ns
         return self.recorder.p99()
 
-    def component_fractions(self) -> Dict[str, float]:
-        total = sum(self.component_sums.values())
-        if total <= 0:
-            return {bucket: 0.0 for bucket in self.component_sums}
-        return {b: v / total for b, v in self.component_sums.items()}
-
 
 @dataclass
 class ExperimentResult:

@@ -269,10 +269,6 @@ class FluidQueue:
             return 0.0
         return self.busy_integral_ns / (self.servers * elapsed)
 
-    def offered_utilization(self) -> float:
-        """Instantaneous rho estimate = lambda_hat / (k mu)."""
-        return self.rate_estimate / (self.servers * self.mu)
-
     def mean_jobs(self, now_ns: float) -> float:
         """Time-averaged jobs in system since construction."""
         elapsed = now_ns - self._start_ns
@@ -285,12 +281,6 @@ class FluidQueue:
         if self.completed_mass <= 0:
             return 0.0
         return self.latency_mass_ns / self.completed_mass
-
-    def throughput_per_ns(self, now_ns: float) -> float:
-        elapsed = now_ns - self._start_ns
-        if elapsed <= 0:
-            return 0.0
-        return self.completed_mass / elapsed
 
     def __repr__(self) -> str:
         return (
@@ -399,12 +389,6 @@ class FluidStepper:
 
     def stop(self) -> None:
         self._stopped = True
-
-    def step_now(self) -> None:
-        """Advance every queue to the current sim time immediately."""
-        now = self.env.now
-        for queue in self.queues:
-            queue.step(now)
 
     def _run(self):
         env = self.env

@@ -136,9 +136,3 @@ class CostModel:
                     f"service {spec.name}: {category} has a time fraction but "
                     "no operations on the most-common path"
                 )
-
-    def expected_accel_service_ns(
-        self, spec: ServiceSpec, kind: AcceleratorKind, speedup: float
-    ) -> float:
-        """Expected accelerated service time (for deadline assignment)."""
-        return self.base_op_time_ns(spec, kind) / speedup

@@ -68,9 +68,3 @@ class PayloadModel:
         """(input, output) bytes of one op given the wire size."""
         in_factor, out_factor = SIZE_FACTORS[kind]
         return max(1, int(wire_size * in_factor)), max(1, int(wire_size * out_factor))
-
-    @classmethod
-    def median_sizes(cls, kind: AcceleratorKind, median_bytes: float) -> Tuple[float, float]:
-        """Median (input, output) bytes for a kind (used by Fig 5)."""
-        in_factor, out_factor = SIZE_FACTORS[kind]
-        return median_bytes * in_factor, median_bytes * out_factor

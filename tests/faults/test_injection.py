@@ -57,7 +57,7 @@ class TestTransientFaults:
         server = make_server(faults=FaultConfig(pe_transient_rate=0.2))
         requests = run_all(server, SERVICES["UniqId"], 10)
         recovery = server.orchestrator.recovery
-        assert server.fault_plane.pe_transients > 0
+        assert server.fault_plane.injected["pe-transient"] > 0
         assert recovery.step_retries > 0
         assert sum(r.step_retries for r in requests) == recovery.step_retries
         assert not any(r.error for r in requests)
@@ -98,7 +98,7 @@ class TestWedgedPes:
         )
         requests = run_all(server, SERVICES["UniqId"], 8)
         recovery = server.orchestrator.recovery
-        assert server.fault_plane.pe_wedges > 0
+        assert server.fault_plane.injected["pe-wedge"] > 0
         assert recovery.watchdog_timeouts > 0
         assert all(r.completed for r in requests)
 
@@ -111,7 +111,7 @@ class TestWedgedPes:
         )
         requests = run_all(server, SERVICES["UniqId"], 3)
         recovery = server.orchestrator.recovery
-        assert server.fault_plane.pe_wedges > 0
+        assert server.fault_plane.injected["pe-wedge"] > 0
         assert recovery.watchdog_timeouts == 0
         assert not any(r.error or r.fell_back for r in requests)
 
@@ -122,7 +122,7 @@ class TestStuckPes:
             faults=FaultConfig(pe_stuck_mtbf_ns=5e4, pe_repair_ns=1e5)
         )
         requests = run_all(server, SERVICES["StoreP"], 10)
-        assert server.fault_plane.pe_stuck > 0
+        assert server.fault_plane.injected["pe-stuck"] > 0
         assert all(r.completed for r in requests)
         # Repair: after the run drains, every accelerator has its full
         # PE complement back unless a repair window is still open.
@@ -137,7 +137,7 @@ class TestDmaFaults:
             faults=FaultConfig(dma_stall_rate=0.5, dma_stall_ns=5e4)
         )
         requests = run_all(server, SERVICES["StoreP"], 5)
-        assert server.fault_plane.dma_stalls > 0
+        assert server.fault_plane.injected["dma-stall"] > 0
         assert not any(r.error for r in requests)
 
     def test_corruption_retries_then_recovers(self):
@@ -146,7 +146,7 @@ class TestDmaFaults:
         )
         requests = run_all(server, SERVICES["StoreP"], 10)
         recovery = server.orchestrator.recovery
-        assert server.fault_plane.dma_corruptions > 0
+        assert server.fault_plane.injected["dma-corruption"] > 0
         assert recovery.dma_retries > 0
         # 0.3^3 per transfer: the odd fatal exhaustion is possible but
         # every request still terminated with an explicit status.
@@ -168,7 +168,7 @@ class TestNocFaults:
             faults=FaultConfig(noc_flap_interval_ns=2e4, noc_flap_down_ns=5e4)
         )
         requests = run_all(server, SERVICES["StoreP"], 10)
-        assert server.fault_plane.link_flaps > 0
+        assert server.fault_plane.injected["noc-flap"] > 0
         assert not any(r.error for r in requests)
         server.env.run()
         assert not server.fault_plane._down_links  # all links back up
@@ -192,7 +192,7 @@ class TestAtmOutages:
             faults=FaultConfig(atm_outage_interval_ns=5e4, atm_outage_ns=1e5)
         )
         requests = run_all(server, SERVICES["StoreP"], 10)
-        assert server.fault_plane.atm_outages > 0
+        assert server.fault_plane.injected["atm-outage"] > 0
         assert not any(r.error for r in requests)
         server.env.run()
         assert server.fault_plane._atm_gate is None
@@ -207,7 +207,7 @@ class TestManagerOutages:
         spec = SERVICES["StoreP"]
         faulted_requests = run_all(faulted, spec, 5)
         clean_requests = run_all(clean, spec, 5)
-        assert faulted.fault_plane.manager_outages > 0
+        assert faulted.fault_plane.injected["manager-outage"] > 0
         assert sum(r.latency_ns for r in faulted_requests) > sum(
             r.latency_ns for r in clean_requests
         )
@@ -215,7 +215,7 @@ class TestManagerOutages:
     def test_decentralized_architectures_have_no_manager_to_lose(self):
         server = make_server("accelflow", faults=self.CONFIG, seed=3)
         requests = run_all(server, SERVICES["StoreP"], 5)
-        assert server.fault_plane.manager_outages == 0
+        assert server.fault_plane.injected["manager-outage"] == 0
         assert not any(r.error for r in requests)
 
 

@@ -62,7 +62,7 @@ class TestPcieFlap:
         monotone signal under CHAOS_SEED rotation)."""
         clean_samples, clean_mean, _ = _measure("pcie", None)
         flapped_samples, flapped_mean, server = _measure("pcie", PCIE_FLAPS)
-        assert server.fault_plane.pcie_flaps > 0
+        assert server.fault_plane.injected["pcie-flap"] > 0
         assert flapped_samples != clean_samples
         assert flapped_mean > clean_mean
 
@@ -72,14 +72,14 @@ class TestPcieFlap:
         clean_samples, _, _ = _measure("on_package", None)
         flapped_samples, _, server = _measure("on_package", PCIE_FLAPS)
         assert server.fault_plane is not None  # the config IS enabled
-        assert server.fault_plane.pcie_flaps == 0
+        assert server.fault_plane.injected["pcie-flap"] == 0
         assert flapped_samples == clean_samples
 
     def test_flap_counts_surface_in_stats(self):
         _, _, server = _measure("pcie", PCIE_FLAPS)
         stats = server.fault_plane.stats()
-        assert stats["pcie_flaps"] == float(server.fault_plane.pcie_flaps)
-        assert stats["total_injected"] >= stats["pcie_flaps"]
+        assert stats["pcie-flap"] == float(server.fault_plane.injected["pcie-flap"])
+        assert stats["total_injected"] >= stats["pcie-flap"]
 
 
 class TestNicCongestion:
@@ -88,7 +88,7 @@ class TestNicCongestion:
         congested_samples, congested_mean, server = _measure(
             "nic", NIC_CONGESTION
         )
-        assert server.fault_plane.nic_congestions > 0
+        assert server.fault_plane.injected["nic-congestion"] > 0
         assert congested_samples != clean_samples
         assert congested_mean > clean_mean
 
@@ -99,7 +99,7 @@ class TestNicCongestion:
         congested_samples, _, server = _measure("pcie", NIC_CONGESTION)
         # The injector runs (the fabric exists) but its windows target
         # the NIC hop, which this machine never crosses.
-        assert server.fault_plane.nic_congestions > 0
+        assert server.fault_plane.injected["nic-congestion"] > 0
         assert congested_samples == clean_samples
 
 

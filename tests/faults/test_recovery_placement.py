@@ -112,7 +112,7 @@ class TestWatchdogDuringNicCongestion:
         faults = FaultConfig(watchdog_timeout_ns=5e4, **self.CONGESTION)
         requests, server = _run({}, faults, default="nic")
         recovery = server.orchestrator.recovery
-        assert server.fault_plane.nic_congestions > 0
+        assert server.fault_plane.injected["nic-congestion"] > 0
         assert recovery.watchdog_timeouts > 0
         assert recovery.step_retries + recovery.degraded_to_cpu > 0
         assert all(r.completed for r in requests)
@@ -124,6 +124,6 @@ class TestWatchdogDuringNicCongestion:
         pressure, not fatal hardware state."""
         faults = FaultConfig(watchdog_timeout_ns=1e5, **self.CONGESTION)
         requests, server = _run({}, faults, default="nic")
-        assert server.fault_plane.nic_congestions > 0
+        assert server.fault_plane.injected["nic-congestion"] > 0
         assert server.orchestrator.recovery.watchdog_timeouts == 0
         assert not any(r.error for r in requests)

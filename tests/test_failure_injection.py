@@ -306,7 +306,7 @@ class TestFaultPlaneProperties:
         assert all(v >= 0.0 for v in stats.values())
         assert stats["total_injected"] == float(plane.total_injected())
         if architecture not in ("relief",):
-            assert plane.manager_outages == 0
+            assert plane.injected["manager-outage"] == 0
 
         # Recovery accounting reconciles with per-request bookkeeping.
         rstats = recovery.stats()
