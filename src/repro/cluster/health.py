@@ -2,7 +2,7 @@
 
 Fail-stop machine deaths are easy — :class:`~repro.cluster.machine.
 ClusterMachine` goes ``DEAD`` and the balancer never sees it again.
-Gray failures (:mod:`repro.faults.gray`) are the hard case: a limping
+Gray failures (:mod:`repro.faults.plane`) are the hard case: a limping
 machine keeps accepting work and keeps completing it, just slowly, so
 every balancer policy that weighs *occupancy* keeps feeding it and the
 fleet P99 quietly doubles. The :class:`HealthMonitor` closes that gap:

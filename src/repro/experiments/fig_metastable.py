@@ -3,7 +3,7 @@
 Beyond-paper experiment reproducing the *metastable failure* pattern
 (Bronson et al., HotOS'21; Huang et al., OSDI'22) on the accelerator
 ensemble: a short gray-failure trigger (intermittent slowdowns on one
-accelerator instance, :mod:`repro.faults.gray`) pushes queue waits past
+accelerator instance, :mod:`repro.faults.plane`) pushes queue waits past
 the step watchdog, the watchdog abandons attempts whose work is already
 admitted to the accelerator, and each retry *duplicates* that work. The
 sustaining feedback loop is load amplification: duplicated work keeps

@@ -8,8 +8,10 @@ a centralized hardware manager. This package makes that claim testable:
 * :class:`FaultConfig` — a frozen, all-zeroes-by-default description of
   which faults to inject and how aggressively to recover,
 * :class:`FaultPlane` — the deterministic, seeded injector threaded
-  through the accelerator PEs, the A-DMA pool, the NoC links and the
-  ATM (plus the RELIEF manager via the orchestrator),
+  through the accelerator PEs, the A-DMA pool, the NoC links, the
+  placement hops and the ATM (plus the RELIEF manager via the
+  orchestrator), gray slow-but-alive faults included
+  (:mod:`repro.faults.plane`),
 * :class:`RecoveryPolicy` / :class:`CircuitBreaker` — the dispatcher
   watchdog + bounded-retry + health-tracking machinery installed on
   every orchestrator when a fault plane is present.
@@ -20,7 +22,6 @@ byte-identical to the fault-free simulator.
 """
 
 from .config import FaultConfig
-from .gray import GrayFaults
 from .plane import FaultPlane
 from .recovery import CircuitBreaker, RecoveryPolicy, RetryBudget
 
@@ -28,7 +29,6 @@ __all__ = [
     "CircuitBreaker",
     "FaultConfig",
     "FaultPlane",
-    "GrayFaults",
     "RecoveryPolicy",
     "RetryBudget",
 ]

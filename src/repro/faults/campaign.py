@@ -76,7 +76,8 @@ ARCHITECTURES = ["relief", "accelflow"]
 REPLICAS = 3
 
 #: Scenario name -> fault mix. ``fig_faults`` reuses the fail-stop
-#: mixes; the gray scenarios exercise :mod:`repro.faults.gray`.
+#: mixes; the gray scenarios exercise the gray windows of
+#: :mod:`repro.faults.plane`.
 SCENARIOS: Dict[str, FaultConfig] = {
     "transient": FaultConfig(
         pe_transient_rate=0.05,

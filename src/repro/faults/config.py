@@ -68,7 +68,7 @@ class FaultConfig:
     nic_congestion_factor: float = 4.0
     nic_congestion_max: int = 16
 
-    # -- Gray faults (slow-but-alive; see repro.faults.gray) ---------------
+    # -- Gray faults (slow-but-alive; see repro.faults.plane) --------------
     #: Probability that this *machine* limps: one Bernoulli draw at
     #: plane attach decides whether every accelerator op on this server
     #: is inflated by :attr:`gray_limp_factor` for the whole run. In a

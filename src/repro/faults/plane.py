@@ -1,23 +1,42 @@
 """The fault plane: deterministic, seeded fault injection in sim time.
 
 One :class:`FaultPlane` serves a whole server. Hardware components hold
-a reference and consult it inline (per-op transient/wedge/stall draws);
-window-based faults (stuck PEs, link flaps, ATM outages) are injected
-by bounded scheduler processes spawned from :meth:`attach`. Every
-category draws from its own named stream derived via
+a reference and consult it inline: per-op draws (PE transients and
+wedges, DMA stalls and corruptions), outage gates through
+:meth:`~FaultPlane.wait_up`, and slowdown multipliers through
+:meth:`~FaultPlane.factor` and :meth:`~FaultPlane.service_factor`.
+
+Eight categories are windowed: stuck PEs, inter-chiplet link flaps,
+PCIe flaps, NIC congestion, ATM outages, manager outages, gray
+slowdowns and gray ramps. Each runs as one bounded process of the one
+loop :meth:`~FaultPlane._windows`: wait an exponential gap, draw a
+target where the category has several, then run the category's window
+body, which skips a target that is already faulted, emits, and holds
+the fault. An outage closes a gate in ``_down``; a slowdown sets a
+multiplier in ``_factor``. ``*_max`` bounds every loop, so a bare
+``env.run()`` always drains.
+
+Gray faults are slow-but-alive degradation, not fail-stop: a machine
+that limps at ``gray_limp_factor`` for the whole run (one Bernoulli
+draw at attach), one accelerator instance that serves ops
+``gray_slowdown_factor`` slower for a window, and a placement hop whose
+congestion ramps up and back down in a staircase instead of stepping
+like the NIC window. Nothing errors; tails just stretch until a health
+plane notices.
+
+Every category draws from its own named stream derived via
 :func:`repro.sim.derive_seed`, so enabling one fault type never
 perturbs another — or any pre-existing model stream — and experiment
-comparisons stay common-random-number aligned.
-
-Manager outages are injected by :class:`~repro.orchestration.hw_manager.
-HwManagerOrchestrator` itself (only that family has a manager); the
-plane supplies the stream, and :meth:`FaultPlane.emit` counts every
-injection of every category, so all fault accounting lives in one place.
+comparisons stay common-random-number aligned. Manager outages hold the
+central manager unit of the RELIEF family, which its orchestrator hands
+over through :meth:`~FaultPlane.attach_manager`; :meth:`~FaultPlane.emit`
+counts every injection of every category, so all fault accounting lives
+in one place.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..sim import Environment, Event, RandomStreams
 from .config import FaultConfig
@@ -57,31 +76,18 @@ class FaultPlane:
         #: Optional :class:`repro.obs.TelemetryBus`; every injection is
         #: published on it as a ``FaultInjected`` event.
         self.bus = None
+        self._streams = streams
         self._pe_stream = streams.stream("faults/pe")
-        self._pe_sched_stream = streams.stream("faults/pe-sched")
         self._dma_stream = streams.stream("faults/dma")
-        self._noc_stream = streams.stream("faults/noc")
-        self._atm_stream = streams.stream("faults/atm")
-        self._pcie_stream = streams.stream("faults/pcie")
-        self._nic_stream = streams.stream("faults/nic")
-        #: Used by the hw-manager orchestrator's outage injector.
-        self.manager_stream = streams.stream("faults/manager")
-        #: Gray-fault half (None unless a gray knob is set, so the
-        #: service-time fast path stays a single None check).
-        self.gray = None
-        if config.gray_enabled:
-            from .gray import GrayFaults
-
-            self.gray = GrayFaults(env, config, streams, self)
-
-        #: Down inter-chiplet links: (chiplet, chiplet) -> back-up gate.
-        self._down_links: Dict[Tuple[int, int], Event] = {}
-        #: ATM outage gate (None while the SRAM is reachable).
-        self._atm_gate: Optional[Event] = None
-        #: Flapped placement hops: Placement -> back-up gate.
-        self._down_placements: Dict[object, Event] = {}
-        #: Placement -> crossing-time multiplier (>1 during congestion).
-        self._placement_factors: Dict[object, float] = {}
+        #: Outages: a chiplet pair ``(a, b)`` with ``a < b``, ``"atm"``
+        #: or a placement -> the gate that fires when it is back up.
+        self._down: Dict[object, Event] = {}
+        #: Open slowdowns: an accelerator instance or a placement -> its
+        #: multiplier (absent = 1.0).
+        self._factor: Dict[object, float] = {}
+        #: Service-time multiplier of the whole machine: the limp factor
+        #: when the attach-time draw made it limp, else 1.0.
+        self.limp = 1.0
         #: Injections per category (surfaced through stats() and obs
         #: gauges); :meth:`emit` is the only writer.
         self.injected: Dict[str, int] = dict.fromkeys(CATEGORIES, 0)
@@ -90,8 +96,8 @@ class FaultPlane:
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, hardware) -> None:
-        """Hook this plane into one server's hardware and start the
-        bounded window injectors."""
+        """Hook this plane into one server's hardware, draw the limp and
+        start the window processes."""
         for accel in hardware.all_accelerators():
             accel.fault_plane = self
         hardware.dma.fault_plane = self
@@ -99,31 +105,67 @@ class FaultPlane:
         hardware.atm.fault_plane = self
         config = self.config
         if config.pe_stuck_mtbf_ns > 0:
-            self.env.process(
-                self._stuck_pe_injector(hardware), name="fault-stuck-pe"
+            self._start(
+                "fault-stuck-pe", "faults/pe-sched", config.pe_stuck_mtbf_ns,
+                config.pe_stuck_max, self._stuck_pe,
+                hardware.all_accelerators(),
             )
         if config.noc_flap_interval_ns > 0:
-            self.env.process(
-                self._link_flap_injector(hardware.network), name="fault-link-flap"
+            self._start(
+                "fault-link-flap", "faults/noc", config.noc_flap_interval_ns,
+                config.noc_flap_max, self._link_flap,
+                sorted(hardware.network._links),
             )
-        # Placement-hop injectors only make sense against a placement
+        # Placement-hop windows only make sense against a placement
         # fabric; an all-on-package machine has no PCIe link to flap,
-        # so these knobs leave it byte-identical.
+        # so these knobs (and the ramp's) leave it byte-identical.
         fabric = getattr(hardware, "fabric", None)
         if fabric is not None:
             fabric.fault_plane = self
             if config.pcie_flap_interval_ns > 0:
-                self.env.process(
-                    self._placement_flap_injector(), name="fault-pcie-flap"
+                self._start(
+                    "fault-pcie-flap", "faults/pcie",
+                    config.pcie_flap_interval_ns, config.pcie_flap_max,
+                    self._pcie_flap,
                 )
             if config.nic_congestion_interval_ns > 0:
-                self.env.process(
-                    self._nic_congestion_injector(), name="fault-nic-congestion"
+                self._start(
+                    "fault-nic-congestion", "faults/nic",
+                    config.nic_congestion_interval_ns,
+                    config.nic_congestion_max, self._nic_congestion,
                 )
         if config.atm_outage_interval_ns > 0:
-            self.env.process(self._atm_outage_injector(), name="fault-atm-outage")
-        if self.gray is not None:
-            self.gray.attach(hardware)
+            self._start(
+                "fault-atm-outage", "faults/atm", config.atm_outage_interval_ns,
+                config.atm_outage_max, self._atm_outage,
+            )
+        if config.gray_limp_probability > 0.0:
+            machine = self._streams.stream("faults/gray-machine")
+            if machine.bernoulli(config.gray_limp_probability):
+                self.limp = config.gray_limp_factor
+                self.emit("gray-limp", {"factor": config.gray_limp_factor})
+        if config.gray_slowdown_interval_ns > 0.0:
+            self._start(
+                "fault-gray-slowdown", "faults/gray-accel",
+                config.gray_slowdown_interval_ns, config.gray_slowdown_max,
+                self._slowdown, self._slowdown_targets(hardware),
+            )
+        if config.gray_ramp_interval_ns > 0.0 and fabric is not None:
+            self._start(
+                "fault-gray-ramp", "faults/gray-ramp",
+                config.gray_ramp_interval_ns, config.gray_ramp_max, self._ramp,
+            )
+
+    def attach_manager(self, orchestrator) -> None:
+        """Start manager-outage windows against ``orchestrator``'s central
+        manager unit (only the RELIEF family has one)."""
+        config = self.config
+        if config.manager_outage_interval_ns > 0:
+            self._start(
+                "fault-manager-outage", "faults/manager",
+                config.manager_outage_interval_ns, config.manager_outage_max,
+                lambda: self._manager_outage(orchestrator),
+            )
 
     def emit(self, name: str, args: Optional[dict] = None) -> None:
         """Count one injection of category ``name`` and publish it as a
@@ -159,12 +201,6 @@ class FaultPlane:
         self.emit("pe-transient", {"accel": accel.kind.value})
         return True
 
-    def service_factor(self, accel) -> float:
-        """Gray service-time multiplier for one op (1.0 = clean)."""
-        if self.gray is None:
-            return 1.0
-        return self.gray.service_factor(accel)
-
     def dma_stall_ns(self) -> float:
         if self.config.dma_stall_rate <= 0.0:
             return 0.0
@@ -182,132 +218,184 @@ class FaultPlane:
         return True
 
     # ------------------------------------------------------------------
-    # Gates (transfers wait out an active outage)
+    # Gates and multipliers (read inline by the hardware models)
     # ------------------------------------------------------------------
-    def link_wait(self, chip_a: int, chip_b: int):
-        """Generator: wait while the (a, b) inter-chiplet link is down."""
-        pair = (chip_a, chip_b) if chip_a < chip_b else (chip_b, chip_a)
+    def wait_up(self, key):
+        """Generator: wait while ``key`` — a chiplet pair ``(a, b)`` with
+        ``a < b``, ``"atm"`` or a placement — is down."""
         while True:
-            gate = self._down_links.get(pair)
+            gate = self._down.get(key)
             if gate is None:
                 return
             yield gate
+
+    def factor(self, key) -> float:
+        """Slowdown multiplier of ``key`` (1.0 = healthy)."""
+        return self._factor.get(key, 1.0)
+
+    def service_factor(self, accel) -> float:
+        """Service-time multiplier for one op on ``accel``: the machine's
+        limp times the instance's open slowdown (1.0 = clean)."""
+        return self.limp * self._factor.get(accel, 1.0)
 
     def link_factor(self) -> float:
         """Serialization multiplier for degraded inter-chiplet links."""
         return self.config.noc_degraded_factor
 
-    def atm_wait(self):
-        """Generator: wait while the ATM is unreachable."""
-        while self._atm_gate is not None:
-            yield self._atm_gate
-
-    def placement_wait(self, placement):
-        """Generator: wait while ``placement``'s hop link is flapped."""
-        while True:
-            gate = self._down_placements.get(placement)
-            if gate is None:
-                return
-            yield gate
-
-    def placement_factor(self, placement) -> float:
-        """Crossing-time multiplier for ``placement`` (1.0 = healthy)."""
-        return self._placement_factors.get(placement, 1.0)
-
     # ------------------------------------------------------------------
-    # Window injectors (bounded processes)
+    # Windows (bounded processes)
     # ------------------------------------------------------------------
-    def _stuck_pe_injector(self, hardware):
-        """Periodically jam a random free PE for the repair window."""
-        env = self.env
-        config = self.config
-        stream = self._pe_sched_stream
-        accels: List = hardware.all_accelerators()
-        for _ in range(config.pe_stuck_max):
-            yield env.timeout(stream.exponential(config.pe_stuck_mtbf_ns))
-            accel = accels[stream.randint(0, len(accels) - 1)]
-            pe = accel._free_pes.try_get()
-            if pe is None:
-                continue  # every PE busy: the fault window passes unnoticed
-            self.emit("pe-stuck", {"accel": accel.kind.value, "pe": pe.index,
-                                   "repair_ns": config.pe_repair_ns})
-            yield env.timeout(config.pe_repair_ns)
-            accel._free_pes.try_put(pe)
+    def _start(self, name, stream, interval_ns, count, window, targets=None):
+        """Start the window process ``name`` on the stream ``stream``."""
+        self.env.process(
+            self._windows(
+                self._streams.stream(stream), interval_ns, count, window, targets
+            ),
+            name=name,
+        )
 
-    def _link_flap_injector(self, network):
-        """Periodically take one inter-chiplet link down for a window."""
+    def _windows(self, stream, interval_ns, count, window, targets=None):
+        """Process: at most ``count`` windows (the category's ``*_max``,
+        so a bare ``env.run()`` drains), each after an exponential gap
+        of mean ``interval_ns``. With ``targets``, each window draws one
+        uniformly and passes it to ``window`` (an empty list opens none:
+        a one-chiplet layout has no link to flap)."""
         env = self.env
-        config = self.config
-        stream = self._noc_stream
-        pairs = sorted(network._links)
-        if not pairs:
+        if targets is not None and not targets:
             return
-        for _ in range(config.noc_flap_max):
-            yield env.timeout(stream.exponential(config.noc_flap_interval_ns))
-            pair = pairs[stream.randint(0, len(pairs) - 1)]
-            if pair in self._down_links:
-                continue
-            self.emit("noc-flap", {"link": f"{pair[0]}-{pair[1]}",
-                                   "down_ns": config.noc_flap_down_ns})
-            gate = self.env.event()
-            self._down_links[pair] = gate
-            yield env.timeout(config.noc_flap_down_ns)
-            del self._down_links[pair]
-            gate.succeed()
+        for _ in range(count):
+            yield env.timeout(stream.exponential(interval_ns))
+            if targets is None:
+                yield from window()
+            else:
+                yield from window(targets[stream.randint(0, len(targets) - 1)])
 
-    def _placement_flap_injector(self):
-        """Periodically flap the PCIe hop link for a down window."""
+    def _down_for(self, key, ns: float):
+        """Hold ``key`` down for ``ns``; :meth:`wait_up` blocks on it."""
+        gate = self.env.event()
+        self._down[key] = gate
+        yield self.env.timeout(ns)
+        del self._down[key]
+        gate.succeed()
+
+    def _slow_for(self, key, factor: float, ns: float):
+        """Multiply ``key``'s time by ``factor`` for ``ns``."""
+        self._factor[key] = factor
+        yield self.env.timeout(ns)
+        # A NIC window and a ramp on the NIC hop overlap when either
+        # factor is 1.0, so the other may have closed the key already.
+        self._factor.pop(key, None)
+
+    def _stuck_pe(self, accel):
+        """Jam a free PE of ``accel`` for the repair window."""
+        pe = accel._free_pes.try_get()
+        if pe is None:
+            return  # every PE busy: the fault window passes unnoticed
+        config = self.config
+        self.emit("pe-stuck", {"accel": accel.kind.value, "pe": pe.index,
+                               "repair_ns": config.pe_repair_ns})
+        yield self.env.timeout(config.pe_repair_ns)
+        accel._free_pes.try_put(pe)
+
+    def _link_flap(self, pair):
+        """Take one inter-chiplet link down."""
+        if pair in self._down:
+            return
+        ns = self.config.noc_flap_down_ns
+        self.emit("noc-flap", {"link": f"{pair[0]}-{pair[1]}", "down_ns": ns})
+        yield from self._down_for(pair, ns)
+
+    def _pcie_flap(self):
+        """Flap the PCIe hop link: no new package<->card crossings."""
         from ..hw.placement import Placement
 
-        env = self.env
-        config = self.config
-        stream = self._pcie_stream
-        for _ in range(config.pcie_flap_max):
-            yield env.timeout(stream.exponential(config.pcie_flap_interval_ns))
-            if Placement.PCIE in self._down_placements:
-                continue
-            self.emit("pcie-flap", {"down_ns": config.pcie_flap_down_ns})
-            gate = env.event()
-            self._down_placements[Placement.PCIE] = gate
-            yield env.timeout(config.pcie_flap_down_ns)
-            del self._down_placements[Placement.PCIE]
-            gate.succeed()
+        if Placement.PCIE in self._down:
+            return
+        ns = self.config.pcie_flap_down_ns
+        self.emit("pcie-flap", {"down_ns": ns})
+        yield from self._down_for(Placement.PCIE, ns)
 
-    def _nic_congestion_injector(self):
-        """Periodically congest the NIC hop for a stretched window."""
+    def _nic_congestion(self):
+        """Stretch every NIC crossing by the congestion factor."""
         from ..hw.placement import Placement
 
-        env = self.env
+        if self.factor(Placement.NIC) > 1.0:
+            return  # hop already congested (e.g. a ramp is open)
         config = self.config
-        stream = self._nic_stream
-        for _ in range(config.nic_congestion_max):
-            yield env.timeout(
-                stream.exponential(config.nic_congestion_interval_ns)
-            )
-            if self._placement_factors.get(Placement.NIC, 1.0) > 1.0:
-                continue
-            self.emit(
-                "nic-congestion",
-                {"ns": config.nic_congestion_ns,
-                 "factor": config.nic_congestion_factor},
-            )
-            self._placement_factors[Placement.NIC] = config.nic_congestion_factor
-            yield env.timeout(config.nic_congestion_ns)
-            self._placement_factors[Placement.NIC] = 1.0
+        self.emit("nic-congestion", {"ns": config.nic_congestion_ns,
+                                     "factor": config.nic_congestion_factor})
+        yield from self._slow_for(
+            Placement.NIC, config.nic_congestion_factor, config.nic_congestion_ns
+        )
 
-    def _atm_outage_injector(self):
-        """Periodically make the trace SRAM unreachable for a window."""
-        env = self.env
+    def _atm_outage(self):
+        """Make the trace SRAM unreachable."""
+        ns = self.config.atm_outage_ns
+        self.emit("atm-outage", {"ns": ns})
+        yield from self._down_for("atm", ns)
+
+    def _manager_outage(self, orchestrator):
+        """Hold the central manager unit busy: every submission,
+        completion and retirement queues behind it."""
+        ns = self.config.manager_outage_ns
+        self.emit("manager-outage", {"orchestrator": orchestrator.name, "ns": ns})
+        with orchestrator.manager.request() as req:
+            yield req
+            yield self.env.timeout(ns)
+
+    def _slowdown_targets(self, hardware):
+        """Every accelerator instance, or only the instances of
+        :attr:`FaultConfig.gray_slowdown_kind` when it scopes the
+        category (chaos experiments target the bottleneck kind)."""
+        accels = hardware.all_accelerators()
+        kind = self.config.gray_slowdown_kind
+        if not kind:
+            return accels
+        scoped = [a for a in accels if a.kind.value == kind]
+        if not scoped:
+            known = sorted(a.kind.value for a in accels)
+            raise ValueError(
+                f"gray_slowdown_kind {kind!r} matches no accelerator on "
+                f"this hardware; known kinds: {known}"
+            )
+        return scoped
+
+    def _slowdown(self, accel):
+        """Serve ``accel``'s ops slower; it stays alive and keeps
+        accepting work."""
+        if self.factor(accel) > 1.0:
+            return  # window already open on this instance
         config = self.config
-        stream = self._atm_stream
-        for _ in range(config.atm_outage_max):
-            yield env.timeout(stream.exponential(config.atm_outage_interval_ns))
-            self.emit("atm-outage", {"ns": config.atm_outage_ns})
-            gate = self.env.event()
-            self._atm_gate = gate
-            yield env.timeout(config.atm_outage_ns)
-            self._atm_gate = None
-            gate.succeed()
+        self.emit("gray-slowdown", {"accel": accel.kind.value,
+                                    "factor": config.gray_slowdown_factor,
+                                    "ns": config.gray_slowdown_ns})
+        yield from self._slow_for(
+            accel, config.gray_slowdown_factor, config.gray_slowdown_ns
+        )
+
+    def _ramp(self):
+        """Staircase one placement hop up to the peak multiplier and back
+        down (the gradual-onset congestion shape)."""
+        from ..hw.placement import Placement
+
+        config = self.config
+        placement = Placement(config.gray_ramp_placement)
+        if self.factor(placement) > 1.0:
+            return  # hop already congested (e.g. NIC window open)
+        self.emit("gray-ramp", {"placement": placement.value,
+                                "peak": config.gray_ramp_peak_factor,
+                                "ns": config.gray_ramp_ns})
+        # Symmetric staircase: tread i sits at level min(i+1, 2s-i) of
+        # s, so the hop rises to the peak, holds two treads, and
+        # descends — 2s equal treads covering gray_ramp_ns exactly.
+        steps = config.gray_ramp_steps
+        tread_ns = config.gray_ramp_ns / (2 * steps)
+        rise = config.gray_ramp_peak_factor - 1.0
+        for i in range(2 * steps):
+            level = min(i + 1, 2 * steps - i)
+            self._factor[placement] = 1.0 + rise * level / steps
+            yield self.env.timeout(tread_ns)
+        self._factor.pop(placement, None)
 
     # ------------------------------------------------------------------
     # Statistics

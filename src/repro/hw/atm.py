@@ -67,7 +67,7 @@ class AtmMemory:
         if address not in self._slots:
             raise KeyError(f"no trace at ATM address {address}")
         if self.fault_plane is not None:
-            yield from self.fault_plane.atm_wait()
+            yield from self.fault_plane.wait_up("atm")
         yield self.env.timeout(self.params.read_latency_ns)
         self.reads += 1
         return self._slots[address]

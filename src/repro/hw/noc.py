@@ -140,7 +140,10 @@ class Network:
             if plane is not None:
                 # Flapped link: wait until it comes back before competing
                 # for it; degraded links stretch the whole leg.
-                yield from plane.link_wait(src_chip, dst_chip)
+                yield from plane.wait_up(
+                    (src_chip, dst_chip) if src_chip < dst_chip
+                    else (dst_chip, src_chip)
+                )
             with self._link(src_chip, dst_chip).request() as link_req:
                 yield link_req
                 leg_ns = (

@@ -344,7 +344,7 @@ class PlacementFabric:
         plane = self.fault_plane
         if plane is not None:
             # A flapped link admits no new crossings until it returns.
-            yield from plane.placement_wait(placement)
+            yield from plane.wait_up(placement)
         self._in_flight[placement].add(1.0, env.now)
         try:
             with self._links[placement].request() as lane:
@@ -352,7 +352,7 @@ class PlacementFabric:
                 leg_ns = hop.crossing_ns(nbytes)
                 if plane is not None:
                     # Congestion stretches the whole crossing.
-                    leg_ns *= plane.placement_factor(placement)
+                    leg_ns *= plane.factor(placement)
                 yield env.timeout(leg_ns)
         finally:
             self._in_flight[placement].add(-1.0, env.now)

@@ -80,33 +80,12 @@ class HwManagerOrchestrator(Orchestrator):
             # centralized manager (removed by the Direct rung's traces).
             for accel in self.hardware.all_accelerators():
                 accel.retire_hook = self._retire
-        if (
-            self.fault_plane is not None
-            and self.fault_plane.config.manager_outage_interval_ns > 0
-        ):
+        if self.fault_plane is not None:
             # Manager outages are the centralized architectures' Achilles
             # heel: the single hardware unit goes dark and every
             # submission, completion and retirement queues behind it.
             # Decentralized orchestrators have no manager to lose.
-            self.env.process(
-                self._manager_outage_injector(), name="fault-manager-outage"
-            )
-
-    def _manager_outage_injector(self):
-        """Bounded process: periodically hold the manager unit busy."""
-        env = self.env
-        plane = self.fault_plane
-        config = plane.config
-        stream = plane.manager_stream
-        for _ in range(config.manager_outage_max):
-            yield env.timeout(stream.exponential(config.manager_outage_interval_ns))
-            plane.emit(
-                "manager-outage",
-                {"orchestrator": self.name, "ns": config.manager_outage_ns},
-            )
-            with self.manager.request() as req:
-                yield req
-                yield env.timeout(config.manager_outage_ns)
+            self.fault_plane.attach_manager(self)
 
     def _retire(self, entry):
         """Process (PE retire hook): the manager processes the completion

@@ -25,7 +25,7 @@ GROWTH_PLANES = [
     os.path.join("hw", "placement.py"),
     os.path.join("cluster", "health.py"),
     os.path.join("cluster", "fluid.py"),
-    os.path.join("faults", "gray.py"),
+    os.path.join("faults", "plane.py"),
     os.path.join("faults", "campaign.py"),
     os.path.join("serve", "facade.py"),
 ]

@@ -74,11 +74,14 @@ class TestZeroRateIdentity:
         assert not config.enabled
 
     def test_gray_half_absent_when_only_failstop_enabled(self):
-        """A fail-stop-only config must not construct GrayFaults (no
-        streams, no branches, byte-for-byte legacy behavior)."""
+        """A fail-stop-only config must not draw a limp or create a
+        gray stream (byte-for-byte legacy behavior)."""
         _, _, server = _measure(FaultConfig(pe_transient_rate=0.05))
         assert server.fault_plane is not None
-        assert server.fault_plane.gray is None
+        assert server.fault_plane.limp == 1.0
+        assert not any(
+            name.startswith("faults/gray") for name in server.streams.names()
+        )
 
     def test_failstop_run_identical_with_and_without_gray_fields(self):
         """The gray *fields* existing on the config (at zero) must not
@@ -100,8 +103,7 @@ class TestMachineLimp:
     def test_certain_limp_inflates_every_request(self):
         clean, clean_mean, _ = _measure(None)
         limped, limp_mean, server = _measure(LIMP)
-        gray = server.fault_plane.gray
-        assert gray is not None and gray.limping
+        assert server.fault_plane.limp == LIMP.gray_limp_factor
         assert server.fault_plane.injected["gray-limp"] == 1
         assert limp_mean > clean_mean
         # Every accelerator op slowed: each sample strictly grows.
@@ -111,14 +113,14 @@ class TestMachineLimp:
         clean, _, _ = _measure(None)
         config = FaultConfig(
             gray_limp_probability=0.0,
-            # Another gray trigger keeps the plane+GrayFaults installed
-            # but its injector draws from its own stream: the limp draw
-            # must simply never happen at probability 0.
+            # Another gray trigger keeps the plane installed but its
+            # windows draw from their own stream: the limp draw must
+            # simply never happen at probability 0.
             gray_slowdown_interval_ns=1e9,
             gray_slowdown_max=1,
         )
         _, _, server = _measure(config)
-        assert server.fault_plane.gray.limping is False
+        assert server.fault_plane.limp == 1.0
         assert server.fault_plane.injected["gray-limp"] == 0
 
 
@@ -132,7 +134,7 @@ class TestInstanceSlowdown:
     def test_windows_close_after_drain(self):
         _, _, server = _measure(SLOWDOWN)
         server.env.run()  # let remaining injector windows expire
-        assert not server.fault_plane.gray._slow
+        assert not server.fault_plane._factor
 
     def test_kind_scoping_only_slows_that_kind(self):
         """Scoped to one kind, every opened window targets that kind —
@@ -196,7 +198,7 @@ class TestCongestionRamp:
         server.env.run()
         assert all(
             factor == 1.0
-            for factor in server.fault_plane._placement_factors.values()
+            for factor in server.fault_plane._factor.values()
         )
 
 
@@ -212,12 +214,12 @@ class TestStatsAndDeterminism:
 
     def test_service_factor_composes_limp_and_slowdown(self):
         _, _, server = _measure(LIMP)
-        gray = server.fault_plane.gray
+        plane = server.fault_plane
         accel = server.hardware.all_accelerators()[0]
-        assert gray.service_factor(accel) == LIMP.gray_limp_factor
-        gray._slow[id(accel)] = 4.0
-        assert gray.service_factor(accel) == LIMP.gray_limp_factor * 4.0
-        del gray._slow[id(accel)]
+        assert plane.service_factor(accel) == LIMP.gray_limp_factor
+        plane._factor[accel] = 4.0
+        assert plane.service_factor(accel) == LIMP.gray_limp_factor * 4.0
+        del plane._factor[accel]
 
     @pytest.mark.parametrize("config", [LIMP, SLOWDOWN], ids=["limp", "slow"])
     def test_seeded_runs_reproduce(self, config):

@@ -171,7 +171,7 @@ class TestNocFaults:
         assert server.fault_plane.injected["noc-flap"] > 0
         assert not any(r.error for r in requests)
         server.env.run()
-        assert not server.fault_plane._down_links  # all links back up
+        assert not server.fault_plane._down  # all links back up
 
     def test_degraded_links_slow_transfers(self):
         clean = make_server(seed=7)
@@ -195,7 +195,7 @@ class TestAtmOutages:
         assert server.fault_plane.injected["atm-outage"] > 0
         assert not any(r.error for r in requests)
         server.env.run()
-        assert server.fault_plane._atm_gate is None
+        assert "atm" not in server.fault_plane._down
 
 
 class TestManagerOutages:
