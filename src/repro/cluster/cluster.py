@@ -29,8 +29,7 @@ from ..obs import MetricsRegistry
 from ..obs.telemetry import AdmissionEvent, FaultInjected, Marker, RequestEnd
 from ..server.machine import SimulatedServer
 from ..sim import Environment, Interrupt, Process, RandomStreams, derive_seed
-from ..workloads.payloads import PayloadModel
-from ..workloads.request import Request
+from ..workloads.request import Request, RequestSampler
 from ..workloads.spec import ServiceSpec
 from .admission import AdmissionController, AdmissionDecision
 from .autoscaler import Autoscaler
@@ -98,8 +97,7 @@ class SimulatedCluster:
         # Front-door request sampling (cluster-level streams, so the
         # request sequence is identical across balancer policies —
         # common random numbers for policy comparisons).
-        self._field_stream = self.streams.stream("fields")
-        self._payload_models: Dict[str, PayloadModel] = {}
+        self._sampler = RequestSampler(self.streams, config.branch_probs)
 
         # Counters.
         self.total_arrivals = 0
@@ -237,25 +235,7 @@ class SimulatedCluster:
     # ------------------------------------------------------------------
     def make_request(self, spec: ServiceSpec) -> Request:
         """Sample a request at the front door (cluster-level streams)."""
-        probs = self.config.resolved_branch_probs().as_dict()
-        state = {
-            field: self._field_stream.bernoulli(p) for field, p in probs.items()
-        }
-        model = self._payload_models.get(spec.name)
-        if model is None:
-            model = PayloadModel(
-                self.streams.stream(f"payload/{spec.name}"),
-                median_bytes=spec.wire_median_bytes,
-            )
-            self._payload_models[spec.name] = model
-        return Request(
-            spec,
-            arrival_ns=self.env.now,
-            state=state,
-            wire_size=model.sample_wire_size(),
-            tenant=spec.tenant,
-            priority=spec.priority,
-        )
+        return self._sampler.sample(spec, self.env.now)
 
     def submit(self, request: Request) -> Process:
         """Run one request through admission, balancing and execution.

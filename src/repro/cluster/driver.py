@@ -20,7 +20,6 @@ from ..server.driver import OpenLoopConfig
 from ..server.metrics import ServiceResult
 from ..sim import LatencyRecorder
 from ..workloads.arrivals import make_arrivals
-from ..workloads.calibration import BranchProbabilities
 from ..workloads.spec import ServiceSpec
 from .admission import AdmissionConfig
 from .autoscaler import AutoscalerConfig
@@ -81,9 +80,6 @@ class ClusterConfig(OpenLoopConfig):
                 self.generations[index % len(self.generations)]
             )
         return params
-
-    def resolved_branch_probs(self) -> BranchProbabilities:
-        return self.branch_probs or BranchProbabilities()
 
 
 @dataclass

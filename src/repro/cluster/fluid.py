@@ -51,8 +51,7 @@ from ..sim.fluid import (
     TierPolicy,
     UtilizationTierPolicy,
 )
-from ..workloads.payloads import PayloadModel
-from ..workloads.request import Request
+from ..workloads.request import Request, RequestSampler
 from ..workloads.spec import ServiceSpec
 
 __all__ = ["FluidConfig", "FluidTier", "FLUID_TOLERANCES"]
@@ -139,8 +138,9 @@ class FluidTier:
         # reproducible.
         self._materialize_stream = cluster.streams.stream("fluid/materialize")
         self._batch_stream = cluster.streams.stream("fluid/batch-split")
-        self._field_stream = cluster.streams.stream("fluid/fields")
-        self._payload_models: Dict[str, PayloadModel] = {}
+        self._sampler = RequestSampler(
+            cluster.streams, cluster.config.branch_probs, prefix="fluid/"
+        )
         # Counters / accounting (absorbed is a float: batched arrivals
         # spread fractional mass across machines).
         self.absorbed = 0.0
@@ -293,7 +293,9 @@ class FluidTier:
             self.materialized_mass += queue.mass
             queue.remove_mass(queue.mass)
             for _ in range(count):
-                request = self._make_request(self._specs[service])
+                request = self._sampler.sample(
+                    self._specs[service], self.cluster.env.now
+                )
                 proc = self.cluster.submit_internal(request)
                 self.materialized_sink.append(
                     (service, request.arrival_ns, proc)
@@ -302,28 +304,6 @@ class FluidTier:
         self.materialized += created
         machine.fluid_mass = 0.0
         return created
-
-    def _make_request(self, spec: ServiceSpec) -> Request:
-        """Sample a materialized request from the tier's own streams."""
-        probs = self.cluster.config.resolved_branch_probs().as_dict()
-        state = {
-            field: self._field_stream.bernoulli(p) for field, p in probs.items()
-        }
-        model = self._payload_models.get(spec.name)
-        if model is None:
-            model = PayloadModel(
-                self.cluster.streams.stream(f"fluid/payload/{spec.name}"),
-                median_bytes=spec.wire_median_bytes,
-            )
-            self._payload_models[spec.name] = model
-        return Request(
-            spec,
-            arrival_ns=self.cluster.env.now,
-            state=state,
-            wire_size=model.sample_wire_size(),
-            tenant=spec.tenant,
-            priority=spec.priority,
-        )
 
     def on_machine_failed(self, machine) -> None:
         """A fluid machine died: its queued mass is lost work."""

@@ -50,13 +50,11 @@ class QueuePolicy:
 class _ProcessingElement:
     """One PE: tracks the tenant whose state is in its scratchpad."""
 
-    __slots__ = ("index", "last_tenant", "busy_ns", "ops")
+    __slots__ = ("index", "last_tenant")
 
     def __init__(self, index: int):
         self.index = index
         self.last_tenant: Optional[int] = None
-        self.busy_ns = 0.0
-        self.ops = 0
 
 
 class Accelerator:
@@ -256,10 +254,7 @@ class Accelerator:
                 yield env.process(self.retire_hook(entry))
                 entry.context["retire_ns"] = env.now - retire_start
         finally:
-            elapsed = env.now - start
-            pe.busy_ns += elapsed
-            pe.ops += 1
-            self.busy_ns += elapsed
+            self.busy_ns += env.now - start
             self._busy_pes.add(-1.0, env.now)
         entry.complete_time = env.now
         self.ops_completed += 1

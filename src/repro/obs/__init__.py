@@ -46,7 +46,6 @@ from .span import Span, SpanTracer
 from .telemetry import (
     AdmissionEvent,
     AlertFired,
-    AwaitableTail,
     FaultInjected,
     Marker,
     MetricSample,
@@ -75,7 +74,6 @@ __all__ = [
     "Alert",
     "AlertFired",
     "AlertState",
-    "AwaitableTail",
     "Dashboard",
     "FaultInjected",
     "FlightRecorder",

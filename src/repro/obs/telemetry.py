@@ -27,7 +27,6 @@ obs subsystem.
 
 from __future__ import annotations
 
-import asyncio
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
@@ -35,7 +34,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 __all__ = [
     "AdmissionEvent",
     "AlertFired",
-    "AwaitableTail",
     "FaultInjected",
     "HealthEvent",
     "Marker",
@@ -203,65 +201,6 @@ class TelemetrySubscription:
         return len(self.queue)
 
 
-class AwaitableTail(TelemetrySubscription):
-    """A pull-mode tail that asyncio consumers can ``await``.
-
-    The simulation publishes synchronously (often from inside an
-    ``Environment.run`` slice driven by the serving façade's pacer);
-    an :class:`AwaitableTail` bridges that to the asyncio world:
-    :meth:`next` returns the oldest queued event, suspending the caller
-    until one arrives, and the tail is also an async iterator::
-
-        tail = bus.atail([RequestEnd])
-        async for event in tail:
-            ...
-
-    :meth:`close` wakes every waiter and ends iteration once the queue
-    is drained. Boundedness is inherited from the plain tail: the
-    oldest entry is dropped (and counted) when the queue is full.
-    """
-
-    __slots__ = ("_waiters", "closed")
-
-    def __init__(self, kinds: Optional[Tuple[type, ...]], maxlen: int):
-        super().__init__(kinds, maxlen)
-        self._waiters: List["asyncio.Future"] = []
-        self.closed = False
-
-    def _offer(self, event: TelemetryEvent) -> None:
-        super()._offer(event)
-        self._wake()
-
-    def _wake(self) -> None:
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            if not waiter.done():
-                waiter.set_result(None)
-
-    def close(self) -> None:
-        """Stop the tail: pending/future :meth:`next` calls drain the
-        queue, then raise ``StopAsyncIteration``."""
-        self.closed = True
-        self._wake()
-
-    async def next(self) -> TelemetryEvent:
-        """The oldest queued event, waiting for one if none is queued."""
-        while True:
-            if self.queue:
-                return self.queue.popleft()
-            if self.closed:
-                raise StopAsyncIteration
-            waiter = asyncio.get_running_loop().create_future()
-            self._waiters.append(waiter)
-            await waiter
-
-    def __aiter__(self) -> "AwaitableTail":
-        return self
-
-    async def __anext__(self) -> TelemetryEvent:
-        return await self.next()
-
-
 class TelemetryBus:
     """Bounded-ring pub/sub channel for typed telemetry events."""
 
@@ -311,16 +250,6 @@ class TelemetryBus:
         sub = TelemetrySubscription(
             tuple(kinds) if kinds is not None else None, maxlen
         )
-        self._tails.append(sub)
-        return sub
-
-    def atail(
-        self,
-        kinds: Optional[Sequence[Type[TelemetryEvent]]] = None,
-        maxlen: int = 256,
-    ) -> AwaitableTail:
-        """An :class:`AwaitableTail` fed by every future publish."""
-        sub = AwaitableTail(tuple(kinds) if kinds is not None else None, maxlen)
         self._tails.append(sub)
         return sub
 

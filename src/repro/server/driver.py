@@ -56,6 +56,10 @@ __all__ = [
 
 _SECOND_NS = 1e9
 
+#: Multiplies a service's unloaded reference latency to set each
+#: request's soft deadline when the EDF queue policy is active.
+SLO_MULTIPLIER = 5.0
+
 
 @dataclass(frozen=True)
 class OpenLoopConfig:
@@ -113,9 +117,6 @@ class RunConfig(OpenLoopConfig):
 
     #: True: all services share one server. False: one server each.
     colocated: bool = False
-    #: Multiplies mean unloaded latency to set the per-request soft
-    #: deadline when the EDF queue policy is active.
-    slo_multiplier: float = 5.0
     #: Reference unloaded latency per service (for EDF deadlines).
     unloaded_reference_ns: Dict[str, float] = field(default_factory=dict)
 
@@ -150,11 +151,11 @@ def _source(server: SimulatedServer, spec: ServiceSpec, config: RunConfig, sink)
     for _ in range(config.requests_per_service):
         yield server.env.timeout(arrivals.next_gap_ns())
         request = server.make_request(spec)
-        if server.params and config.queue_policy == QueuePolicy.EDF:
+        if config.queue_policy == QueuePolicy.EDF:
             reference = config.unloaded_reference_ns.get(spec.name)
             if reference:
                 request.slo_deadline_ns = (
-                    server.env.now + config.slo_multiplier * reference
+                    server.env.now + SLO_MULTIPLIER * reference
                 )
         sink.append((request, server.submit(request)))
 

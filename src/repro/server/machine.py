@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..core.registry import TraceRegistry
 from ..faults import FaultConfig, FaultPlane
@@ -18,9 +18,8 @@ from ..workloads.calibration import (
     RemoteLatencies,
 )
 from ..workloads.costs import CostModel
-from ..workloads.payloads import PayloadModel
 from ..workloads.spec import ServiceSpec
-from ..workloads.request import Request
+from ..workloads.request import Request, RequestSampler
 
 __all__ = ["SimulatedServer"]
 
@@ -92,10 +91,7 @@ class SimulatedServer:
         self.orchestrator.bus = self.bus
         if self.orchestrator.recovery is not None:
             self.orchestrator.recovery.bus = self.bus
-        self.branch_probs = branch_probs or BranchProbabilities()
-        self._field_probs = tuple(self.branch_probs.as_dict().items())
-        self._field_stream = self.streams.stream("fields")
-        self._payload_models: Dict[str, PayloadModel] = {}
+        self._sampler = RequestSampler(self.streams, branch_probs)
         self._inflight = 0
         self._completed = 0
         if self.metrics is not None:
@@ -150,29 +146,9 @@ class SimulatedServer:
                     lambda r=recovery: float(r.degraded_to_cpu),
                 )
 
-    def _payload_model(self, spec: ServiceSpec) -> PayloadModel:
-        model = self._payload_models.get(spec.name)
-        if model is None:
-            model = PayloadModel(
-                self.streams.stream(f"payload/{spec.name}"),
-                median_bytes=spec.wire_median_bytes,
-            )
-            self._payload_models[spec.name] = model
-        return model
-
     def make_request(self, spec: ServiceSpec) -> Request:
         """Sample a new request: payload fields + wire size."""
-        bernoulli = self._field_stream.bernoulli
-        state = {field: bernoulli(p) for field, p in self._field_probs}
-        wire_size = self._payload_model(spec).sample_wire_size()
-        return Request(
-            spec,
-            arrival_ns=self.env.now,
-            state=state,
-            wire_size=wire_size,
-            tenant=spec.tenant,
-            priority=spec.priority,
-        )
+        return self._sampler.sample(spec, self.env.now)
 
     def submit(self, request: Request):
         """Start executing ``request``; returns its completion process."""

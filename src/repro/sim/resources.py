@@ -15,16 +15,7 @@ from typing import List, Optional
 
 from .core import _PENDING, NORMAL, Environment, Event, _new
 
-__all__ = ["Resource", "PriorityResource", "Request", "Release", "Preempted"]
-
-
-class Preempted(Exception):
-    """Cause delivered to a process whose resource usage was preempted."""
-
-    def __init__(self, by: object, usage_since: float):
-        super().__init__(by, usage_since)
-        self.by = by
-        self.usage_since = usage_since
+__all__ = ["Resource", "PriorityResource", "Request", "Release"]
 
 
 class Request(Event):

@@ -15,7 +15,7 @@ from .calibration import (
 from .costs import CostModel
 from .deathstarbench import hotel_reservation_services, media_services
 from .payloads import SIZE_FACTORS, PayloadModel
-from .request import Buckets, Request
+from .request import Buckets, Request, RequestSampler
 from .relief_suite import (
     COARSE_ACCELERATOR_SLOTS,
     COARSE_SPEEDUPS,
@@ -56,6 +56,7 @@ __all__ = [
     "PathStep",
     "PayloadModel",
     "Request",
+    "RequestSampler",
     "Buckets",
     "PoissonArrivals",
     "RemoteLatencies",

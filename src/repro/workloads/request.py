@@ -3,7 +3,8 @@
 A :class:`Request` travels through the driver and the orchestrator and
 accumulates its latency breakdown into named buckets, enabling the
 Figure 17 decomposition (CPU / accelerators / orchestration /
-communication) plus queueing and remote-dependency time.
+communication) plus queueing and remote-dependency time. A
+:class:`RequestSampler` draws new requests from seeded streams.
 """
 
 from __future__ import annotations
@@ -11,9 +12,12 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Optional
 
+from ..sim import RandomStreams
+from .calibration import BranchProbabilities
+from .payloads import PayloadModel
 from .spec import ServiceSpec
 
-__all__ = ["Request", "Buckets"]
+__all__ = ["Request", "RequestSampler", "Buckets"]
 
 _request_ids = itertools.count()
 
@@ -107,3 +111,44 @@ class Request:
     def __repr__(self) -> str:
         status = "done" if self.completed else "in-flight"
         return f"Request(#{self.rid}, {self.spec.name}, {status})"
+
+
+class RequestSampler:
+    """Samples requests: the payload fields, then the wire size.
+
+    The fields come from the stream ``<prefix>fields`` and each
+    service's wire sizes from ``<prefix>payload/<service>``, so a
+    sampler with its own prefix never perturbs another's draws.
+    """
+
+    def __init__(
+        self,
+        streams: RandomStreams,
+        branch_probs: Optional[BranchProbabilities] = None,
+        prefix: str = "",
+    ):
+        self._streams = streams
+        self._prefix = prefix
+        probs = branch_probs or BranchProbabilities()
+        self._field_probs = tuple(probs.as_dict().items())
+        self._field_stream = streams.stream(f"{prefix}fields")
+        self._payload_models: Dict[str, PayloadModel] = {}
+
+    def sample(self, spec: ServiceSpec, arrival_ns: float) -> Request:
+        """A new request for ``spec`` arriving at ``arrival_ns``."""
+        bernoulli = self._field_stream.bernoulli
+        state = {field: bernoulli(p) for field, p in self._field_probs}
+        model = self._payload_models.get(spec.name)
+        if model is None:
+            model = self._payload_models[spec.name] = PayloadModel(
+                self._streams.stream(f"{self._prefix}payload/{spec.name}"),
+                median_bytes=spec.wire_median_bytes,
+            )
+        return Request(
+            spec,
+            arrival_ns=arrival_ns,
+            state=state,
+            wire_size=model.sample_wire_size(),
+            tenant=spec.tenant,
+            priority=spec.priority,
+        )
