@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from heapq import heappush
 from typing import List, Optional
 
-from .core import _PENDING, NORMAL, Environment, Event, _new
+from .core import _PENDING, Environment, Event, _new
 
 __all__ = ["Resource", "PriorityResource", "Request", "Release"]
 
@@ -29,7 +28,7 @@ class Request(Event):
             ...
     """
 
-    __slots__ = ("resource", "priority", "time", "key")
+    __slots__ = ("resource", "priority", "key")
 
     def __enter__(self) -> "Request":
         return self
@@ -93,13 +92,12 @@ class Resource:
         request._defused = False
         request.resource = self
         request.priority = priority
-        request.time = env._now
         if len(self.users) < self._capacity:
             # Uncontended: grant inline (Event.succeed, unrolled).
             self.users.append(request)
             request._value = None
             env._eid += 1
-            heappush(env._queue, (env._now, NORMAL, env._eid, request))
+            env._normal.append(request)
         else:
             request._value = _PENDING
             self._enqueue(request)

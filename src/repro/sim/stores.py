@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from heapq import heappush
 from typing import Any, Callable
 
-from .core import NORMAL, Environment, Event
+from .core import Environment, Event
 from .core import _PENDING  # kernel-internal sentinel, shared in-package
 
 __all__ = ["Store", "PriorityStore", "FilterStore", "PriorityItem"]
@@ -58,7 +57,7 @@ class StorePut(Event):
             store._insert(item)
             self._value = None
             env._eid += 1
-            heappush(env._queue, (env._now, NORMAL, env._eid, self))
+            env._normal.append(self)
             if store._get_waiters:
                 store._dispatch()
         else:
@@ -101,7 +100,7 @@ class StoreGet(Event):
         if filter is None and store.items:
             self._value = store._extract(self)
             env._eid += 1
-            heappush(env._queue, (env._now, NORMAL, env._eid, self))
+            env._normal.append(self)
             if store._put_waiters:
                 store._dispatch()
         else:
@@ -220,10 +219,9 @@ class Store:
         get_waiters = self._get_waiters
         capacity = self.capacity
         env = self.env
-        event_queue = env._queue
+        normal = env._normal
         insert = self._insert
         extract = self._extract
-        now = env._now
         eid = env._eid
         while True:
             progress = False
@@ -232,13 +230,13 @@ class Store:
                 insert(putter.item)
                 putter._value = None
                 eid += 1
-                heappush(event_queue, (now, NORMAL, eid, putter))
+                normal.append(putter)
                 progress = True
             while get_waiters and items:
                 getter = get_waiters.popleft()
                 getter._value = extract(getter)
                 eid += 1
-                heappush(event_queue, (now, NORMAL, eid, getter))
+                normal.append(getter)
                 progress = True
             if not progress:
                 env._eid = eid
