@@ -16,7 +16,7 @@ transformations.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..hw.params import GHZ, cycles_to_ns
 from .trace import ResolvedStep
@@ -44,6 +44,16 @@ class GlueCostModel:
         self.transforms_performed = 0
         self.atm_reads = 0
         self.notifies = 0
+        #: step -> (instructions, their time in ns). Steps from
+        #: ``Trace.resolve`` are shared and read-only, so this holds one
+        #: row per step of the traces a server runs.
+        self._per_step: Dict[ResolvedStep, Tuple[int, float]] = {}
+
+    def _memoize(self, step: ResolvedStep) -> Tuple[int, float]:
+        instructions = self.instructions_for(step)
+        row = (instructions, cycles_to_ns(float(instructions), self.ghz))
+        self._per_step[step] = row
+        return row
 
     def instructions_for(self, step: ResolvedStep) -> int:
         """Instruction count of one output-dispatcher operation."""
@@ -58,7 +68,10 @@ class GlueCostModel:
 
     def record(self, step: ResolvedStep) -> int:
         """Account one dispatcher operation; returns its instructions."""
-        instructions = self.instructions_for(step)
+        try:
+            instructions = self._per_step[step][0]
+        except KeyError:
+            instructions = self._memoize(step)[0]
         self.operations += 1
         self.total_instructions += instructions
         self.branches_resolved += step.branches_after
@@ -71,7 +84,10 @@ class GlueCostModel:
 
     def dispatch_time_ns(self, step: ResolvedStep, payload_bytes: int = 0) -> float:
         """Wall time of one dispatcher operation (instructions + DTE)."""
-        time_ns = cycles_to_ns(float(self.instructions_for(step)), self.ghz)
+        try:
+            time_ns = self._per_step[step][1]
+        except KeyError:
+            time_ns = self._memoize(step)[1]
         if step.transforms_after:
             time_ns += (
                 step.transforms_after * payload_bytes / self.DTE_BYTES_PER_NS

@@ -166,6 +166,9 @@ class RecoveryPolicy:
 
     def pick(self, instances, now: float):
         """The least-occupied healthy instance, or None if all tripped."""
+        if len(instances) == 1:
+            lone = instances[0]
+            return lone if self.breaker(lone).allow(now) else None
         healthy = [a for a in instances if self.breaker(a).allow(now)]
         if not healthy:
             return None

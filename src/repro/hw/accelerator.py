@@ -20,6 +20,7 @@ events. Chaining policy lives in :mod:`repro.orchestration`.
 from __future__ import annotations
 
 import itertools
+import sys
 from typing import Dict, List, Optional
 
 from ..sim import (
@@ -50,10 +51,13 @@ class QueuePolicy:
 class _ProcessingElement:
     """One PE: tracks the tenant whose state is in its scratchpad."""
 
-    __slots__ = ("index", "last_tenant")
+    __slots__ = ("index", "name", "last_tenant")
 
-    def __init__(self, index: int):
+    def __init__(self, index: int, kind: AcceleratorKind):
         self.index = index
+        #: The name of the process that runs each op on this PE, shared
+        #: by every server's PE of the same kind and index.
+        self.name = sys.intern(f"{kind.value}-pe{index}")
         self.last_tenant: Optional[int] = None
 
 
@@ -76,6 +80,8 @@ class Accelerator:
         self.params = params
         self.accel_params = params.accelerator
         self.speedup = params.speedup_of(kind)
+        if self.speedup <= 0:
+            raise ValueError(f"speedup must be positive, got {self.speedup}")
         self.tlb = tlb
         self.policy = policy
         #: Optional :class:`repro.obs.SpanTracer`; queue-wait and PE
@@ -104,7 +110,7 @@ class Accelerator:
         self.output_dispatcher = Resource(env, capacity=1)
 
         self.pes: List[_ProcessingElement] = [
-            _ProcessingElement(i) for i in range(self.accel_params.pes)
+            _ProcessingElement(i, kind) for i in range(self.accel_params.pes)
         ]
         self._free_pes: Store = Store(env)
         for pe in self.pes:
@@ -182,14 +188,12 @@ class Accelerator:
                 spilled = overflow.try_get()
                 input_queue.try_put(self._wrap(spilled))
             pe = yield free_pes.get()
-            env.process(
-                self._execute(pe, entry), name=f"{self.kind.value}-pe{pe.index}"
-            )
+            env.process(self._execute(pe, entry), name=pe.name)
 
     def _execute(self, pe: _ProcessingElement, entry: QueueEntry):
         env = self.env
-        entry.dispatch_time = env.now
-        self.queue_waits.append(entry.queue_wait_ns)
+        entry.dispatch_time = now = env.now
+        self.queue_waits.append(now - entry.enqueue_time)
         obs_rid = None
         if self.tracer is not None:
             obs_rid = entry.context.get("obs_rid")
@@ -227,7 +231,9 @@ class Accelerator:
                 wedge_ns = plane.pe_wedge_ns(self)
                 if wedge_ns > 0.0:
                     yield env.timeout(wedge_ns)
-            service_ns = entry.op.accel_time_ns(self.speedup)
+            # AccelOp.accel_time_ns, with the speedup checked once at
+            # construction instead of once per op.
+            service_ns = entry.op.cpu_time_ns / self.speedup
             if plane is not None:
                 # Gray faults stretch service time without erroring: a
                 # limping machine or a slowed instance serves every op,

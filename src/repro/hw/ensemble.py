@@ -86,7 +86,10 @@ class ServerHardware:
 
     def accel(self, kind: AcceleratorKind) -> Accelerator:
         """The least-occupied instance of ``kind`` (Enqueue retry target)."""
-        return min(self.instances[kind], key=lambda a: a.input_occupancy)
+        instances = self.instances[kind]
+        if len(instances) == 1:
+            return instances[0]
+        return min(instances, key=lambda a: a.input_occupancy)
 
     def all_accelerators(self) -> List[Accelerator]:
         return [a for instances in self.instances.values() for a in instances]

@@ -11,16 +11,23 @@ memory) pay:
 
 Fabric contention is modeled per chiplet as a bounded number of parallel
 in-flight transfers (``NocParams.mesh_parallelism``).
+
+Everything about a transfer except its size is fixed by its endpoint
+pair, so :class:`Network` resolves each ``(src, dst)`` pair once into a
+:class:`Route` (chiplets, contended resources, fault-gate key and mesh
+latencies) that :meth:`Network.transfer` and :meth:`Network.estimate_ns`
+both read; serialization, the only size-dependent part, is computed per
+call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..sim import Environment, Resource, TimeWeightedValue
 from .params import AcceleratorKind, ChipletLayout, MachineParams, NocParams
 
-__all__ = ["Network", "Endpoint", "CPU_ENDPOINT", "MEMORY_ENDPOINT"]
+__all__ = ["Network", "Route", "Endpoint", "CPU_ENDPOINT", "MEMORY_ENDPOINT"]
 
 #: The CPU/core complex and memory controllers live on chiplet 0 together
 #: with the LdB accelerator (Figure 6).
@@ -28,6 +35,55 @@ CPU_ENDPOINT = "cpu"
 MEMORY_ENDPOINT = "memory"
 
 Endpoint = Union[AcceleratorKind, str]
+
+
+class Route:
+    """What a transfer from one endpoint to another always pays.
+
+    Built once per endpoint pair by :meth:`Network.route`: whether the
+    pair crosses chiplets, the resources each leg contends for, the
+    link key the fault plane gates on, and the :class:`NocParams`
+    latencies evaluated for the pair's hop counts.
+    """
+
+    __slots__ = (
+        "crosses",
+        "src_fabric",
+        "link",
+        "dst_fabric",
+        "link_key",
+        "src_mesh_ns",
+        "link_latency_ns",
+        "dst_mesh_ns",
+    )
+
+    def __init__(self, network: "Network", src: Endpoint, dst: Endpoint):
+        noc, ghz = network.noc, network.ghz
+        src_chip = network.chiplet_of(src)
+        dst_chip = network.chiplet_of(dst)
+        self.crosses = src_chip != dst_chip
+        self.src_fabric: Resource = network._fabrics[src_chip]
+        #: The first mesh leg: to the destination on one chiplet, else
+        #: to the source chiplet's portal.
+        src_hops = (
+            network._hops(src_chip, src) if self.crosses
+            else network._pair_hops(src, dst)
+        )
+        self.src_mesh_ns = noc.mesh_latency_ns(src_hops, ghz)
+        # The inter-chiplet leg and the destination mesh leg; None on
+        # one chiplet.
+        self.link: Optional[Resource] = None
+        self.dst_fabric: Optional[Resource] = None
+        self.link_key: Optional[Tuple[int, int]] = None
+        self.link_latency_ns = self.dst_mesh_ns = 0.0
+        if self.crosses:
+            self.link_key = (min(src_chip, dst_chip), max(src_chip, dst_chip))
+            self.link = network._links[self.link_key]
+            self.dst_fabric = network._fabrics[dst_chip]
+            self.link_latency_ns = noc.inter_chiplet_latency_ns(ghz)
+            self.dst_mesh_ns = noc.mesh_latency_ns(
+                network._hops(dst_chip, dst), ghz
+            )
 
 
 class Network:
@@ -60,6 +116,8 @@ class Network:
             from .mesh import build_chiplet_meshes
 
             self._meshes = build_chiplet_meshes(self.layout)
+        #: src -> dst -> :class:`Route`, filled on first use.
+        self._routes: Dict[Endpoint, Dict[Endpoint, Route]] = {}
 
     # -- topology helpers ---------------------------------------------------
     def chiplet_of(self, endpoint: Endpoint) -> int:
@@ -70,8 +128,14 @@ class Network:
     def crosses_chiplets(self, src: Endpoint, dst: Endpoint) -> bool:
         return self.chiplet_of(src) != self.chiplet_of(dst)
 
-    def _link(self, a: int, b: int) -> Resource:
-        return self._links[(a, b) if a < b else (b, a)]
+    def route(self, src: Endpoint, dst: Endpoint) -> Route:
+        """The :class:`Route` from ``src`` to ``dst``, resolved once."""
+        try:
+            return self._routes[src][dst]
+        except KeyError:
+            route = Route(self, src, dst)
+            self._routes.setdefault(src, {})[dst] = route
+            return route
 
     def _hops(self, chiplet: int, endpoint: Endpoint) -> float:
         """Hop count from ``endpoint`` to the chiplet's portal stop."""
@@ -98,41 +162,35 @@ class Network:
     # -- timing -------------------------------------------------------------
     def estimate_ns(self, src: Endpoint, dst: Endpoint, nbytes: int) -> float:
         """Uncontended transfer time (used for admission heuristics)."""
-        src_chip = self.chiplet_of(src)
-        dst_chip = self.chiplet_of(dst)
-        if src_chip == dst_chip:
-            hops = self._pair_hops(src, dst)
-            return (
-                self.noc.mesh_latency_ns(hops, self.ghz)
-                + self.noc.mesh_serialization_ns(nbytes, self.ghz)
-            )
-        time_ns = self.noc.mesh_latency_ns(self._hops(src_chip, src), self.ghz)
-        time_ns += self.noc.mesh_serialization_ns(nbytes, self.ghz)
-        time_ns += self.noc.inter_chiplet_latency_ns(self.ghz)
-        time_ns += self.noc.inter_chiplet_serialization_ns(nbytes)
-        time_ns += self.noc.mesh_latency_ns(self._hops(dst_chip, dst), self.ghz)
+        route = self.route(src, dst)
+        noc = self.noc
+        time_ns = route.src_mesh_ns + noc.mesh_serialization_ns(nbytes, self.ghz)
+        if route.crosses:
+            time_ns += route.link_latency_ns
+            time_ns += noc.inter_chiplet_serialization_ns(nbytes)
+            time_ns += route.dst_mesh_ns
         return time_ns
 
     def transfer(self, src: Endpoint, dst: Endpoint, nbytes: int):
         """Process: move ``nbytes`` from ``src`` to ``dst`` with contention."""
         env = self.env
-        src_chip = self.chiplet_of(src)
-        dst_chip = self.chiplet_of(dst)
+        try:
+            route = self._routes[src][dst]
+        except KeyError:
+            route = self.route(src, dst)
+        noc = self.noc
+        # The NocParams serialization formulas, inlined: they are the
+        # only leg costs that depend on the size.
+        flits = (nbytes + noc.mesh_link_bytes - 1) // noc.mesh_link_bytes
         self.bytes_moved += nbytes
         self._busy.add(1.0, env.now)
         try:
-            same_chiplet = src_chip == dst_chip
-            src_hops = (
-                self._pair_hops(src, dst) if same_chiplet
-                else self._hops(src_chip, src)
-            )
-            with self._fabrics[src_chip].request() as fabric_req:
+            with route.src_fabric.request() as fabric_req:
                 yield fabric_req
                 yield env.timeout(
-                    self.noc.mesh_latency_ns(src_hops, self.ghz)
-                    + self.noc.mesh_serialization_ns(nbytes, self.ghz)
+                    route.src_mesh_ns + float(max(1, flits)) / self.ghz
                 )
-            if same_chiplet:
+            if not route.crosses:
                 self.intra_chiplet_transfers += 1
                 return
             self.inter_chiplet_transfers += 1
@@ -140,24 +198,16 @@ class Network:
             if plane is not None:
                 # Flapped link: wait until it comes back before competing
                 # for it; degraded links stretch the whole leg.
-                yield from plane.wait_up(
-                    (src_chip, dst_chip) if src_chip < dst_chip
-                    else (dst_chip, src_chip)
-                )
-            with self._link(src_chip, dst_chip).request() as link_req:
+                yield from plane.wait_up(route.link_key)
+            with route.link.request() as link_req:
                 yield link_req
-                leg_ns = (
-                    self.noc.inter_chiplet_latency_ns(self.ghz)
-                    + self.noc.inter_chiplet_serialization_ns(nbytes)
-                )
+                leg_ns = route.link_latency_ns + nbytes / noc.inter_chiplet_gbps
                 if plane is not None:
                     leg_ns *= plane.link_factor()
                 yield env.timeout(leg_ns)
-            with self._fabrics[dst_chip].request() as fabric_req:
+            with route.dst_fabric.request() as fabric_req:
                 yield fabric_req
-                yield env.timeout(
-                    self.noc.mesh_latency_ns(self._hops(dst_chip, dst), self.ghz)
-                )
+                yield env.timeout(route.dst_mesh_ns)
         finally:
             self._busy.add(-1.0, env.now)
 

@@ -57,6 +57,11 @@ class AcceleratorKind(enum.Enum):
     DCMP = "Dcmp"
     LDB = "LdB"
 
+    #: Members are singletons that compare by identity, so they hash by
+    #: identity too: ``Enum.__hash__`` would run a Python frame on every
+    #: lookup keyed by a kind (routes, instances, cost tables).
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

@@ -49,11 +49,12 @@ class AccelFlowOrchestrator(Orchestrator):
             if step.atm_read_after:
                 yield env.process(self.hardware.atm.read(self._atm_slot(step)))
         request.add(Buckets.ORCHESTRATION, env.now - start)
-        rid = self._obs_rid(request)
-        if rid is not None:
-            self._record_dispatch_spans(
-                request, step, entry, accel, start, acquired, dispatched, rid
-            )
+        if self.tracer is not None:
+            rid = self._obs_rid(request)
+            if rid is not None:
+                self._record_dispatch_spans(
+                    request, step, entry, accel, start, acquired, dispatched, rid
+                )
         if step.notify_after:
             yield from self.deliver_result(request, step, entry)
         elif next_step is not None:

@@ -465,10 +465,11 @@ class Orchestrator:
             priority=request.priority,
             deadline_ns=request.slo_deadline_ns,
         )
-        rid = self._obs_rid(request)
-        if rid is not None:
-            # Lets the accelerator attribute queue/PE spans to us.
-            entry.context["obs_rid"] = rid
+        if self.tracer is not None:
+            rid = self._obs_rid(request)
+            if rid is not None:
+                # Lets the accelerator attribute queue/PE spans to us.
+                entry.context["obs_rid"] = rid
         # Each Enqueue targets a freshly picked instance of the type (a
         # failing Enqueue "retries with another accelerator of the same
         # type", Section IV-A).
@@ -503,10 +504,14 @@ class Orchestrator:
             # Corrupted result: retire it; the caller retries or degrades.
             accel.consume_output(entry)
             return None
-        request.add(Buckets.QUEUE, entry.queue_wait_ns)
+        # Request.add, QueueEntry.queue_wait_ns and .service_ns, inlined.
+        components = request.components
+        components[Buckets.QUEUE] += entry.dispatch_time - entry.enqueue_time
         retire_ns = entry.context.get("retire_ns", 0.0)
-        request.add(Buckets.ACCEL, entry.service_ns - retire_ns)
-        request.add(Buckets.ORCHESTRATION, retire_ns)
+        components[Buckets.ACCEL] += (
+            entry.complete_time - entry.dispatch_time - retire_ns
+        )
+        components[Buckets.ORCHESTRATION] += retire_ns
         return entry
 
     # ------------------------------------------------------------------
@@ -674,7 +679,7 @@ class Orchestrator:
         start = self.env.now
         yield from self._dma_with_retry(
             request, step.kind, next_step.kind, entry.op.data_out,
-            rid=self._obs_rid(request),
+            rid=None if self.tracer is None else self._obs_rid(request),
         )
         request.add(Buckets.COMMUNICATION, self.env.now - start)
 

@@ -23,7 +23,7 @@ variant               upgrade over the previous rung
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from ..core.trace import ResolvedPath, ResolvedStep
 from ..hw.noc import MEMORY_ENDPOINT
@@ -62,6 +62,9 @@ class HwManagerOrchestrator(Orchestrator):
         self.name = self.config.name
         super().__init__(*args, **kwargs)
         self.manager = Resource(self.env, capacity=1)
+        #: Shared step -> the step its local dispatcher runs (one per
+        #: step, so the glue model's per-step table stays bounded).
+        self._local_steps: Dict[ResolvedStep, ResolvedStep] = {}
         self.manager_busy_ns = 0.0
         self.manager_events = 0
         # RELIEF base: a single centralized queue shared by all 8 PEs of
@@ -171,10 +174,12 @@ class HwManagerOrchestrator(Orchestrator):
         if self.config.direct_transfers:
             # Trace-driven hand-off: local dispatcher does the base work
             # (and branches, on the cntrflow rung).
-            local = ResolvedStep(step.kind)
-            if self.config.dispatcher_branches:
-                local.branches_after = step.branches_after
-            local.atm_read_after = step.atm_read_after
+            local = self._local_steps.get(step)
+            if local is None:
+                local = self._local_steps[step] = ResolvedStep(step.kind)
+                if self.config.dispatcher_branches:
+                    local.branches_after = step.branches_after
+                local.atm_read_after = step.atm_read_after
             start = env.now
             with entry.context["accel"].output_dispatcher.request() as disp:
                 yield disp

@@ -23,6 +23,7 @@ Example
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from heapq import heappop, heappush
 from time import perf_counter
 from types import GeneratorType
@@ -490,7 +491,15 @@ class Environment:
         max_events: Optional[int] = None,
         max_wall_s: Optional[float] = None,
     ):
-        self._now = float(initial_time)
+        #: Current simulated time: a plain attribute that the event loop
+        #: writes, so reading the clock runs no property frame.
+        self.now = float(initial_time)
+        #: ``env.process(generator, name="")`` starts a new process and
+        #: ``env.event()`` creates a pending event: the classes bound to
+        #: this environment, so neither runs a frame besides the
+        #: class's own ``__init__``.
+        self.process: Callable[..., Process] = partial(Process, self)
+        self.event: Callable[[], Event] = partial(Event, self)
         self._queue: List[tuple] = []
         self._urgent: deque = deque()
         self._normal: deque = deque()
@@ -519,11 +528,6 @@ class Environment:
 
     # -- clock and scheduling ---------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
-
-    @property
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
         return self._active_process
@@ -542,7 +546,7 @@ class Environment:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._urgent or self._normal:
-            return self._now
+            return self.now
         return self._queue[0][0] if self._queue else float("inf")
 
     def _loop(
@@ -590,7 +594,7 @@ class Environment:
                 event = normal.popleft()
             elif queue and queue[0][0] <= until:
                 now, _, event = heappop(queue)
-                self._now = now
+                self.now = now
                 # The rest of this instant's timeouts join the normal
                 # lane, in eid order, ahead of anything its callbacks
                 # schedule.
@@ -668,7 +672,7 @@ class Environment:
                     if max_events is not None and self._events_processed > max_events:
                         raise SimulationError(
                             f"runaway guard: more than {max_events} events "
-                            f"processed (sim time {self._now:.0f})"
+                            f"processed (sim time {self.now:.0f})"
                         )
                     # Wall-clock checks are amortized: one perf_counter()
                     # call every 4096 events.
@@ -679,7 +683,7 @@ class Environment:
                     ):
                         raise SimulationError(
                             f"runaway guard: run() exceeded {self.max_wall_s}s "
-                            f"wall clock (sim time {self._now:.0f}, "
+                            f"wall clock (sim time {self.now:.0f}, "
                             f"{self._events_processed} events)"
                         )
                 if processed == limit or (
@@ -701,7 +705,8 @@ class Environment:
         * ``None`` — run until no events remain.
         * number — run until the clock reaches that time.
         * :class:`Event` — run until that event is processed and return
-          its value.
+          its value. Every waiter on the event is resumed before ``run``
+          returns, one that began waiting after this call included.
         """
         stop_at = float("inf")
         if until is not None:
@@ -716,19 +721,29 @@ class Environment:
                         until._defused = True
                         raise value.exc
                     return value
-                until.callbacks.append(self._stop_on)
+                waiters = until.callbacks
+
+                def stop_hook(event: Event) -> None:
+                    # The loop walks the callback list it detached from
+                    # the event. Waiters that joined after this hook sit
+                    # behind it, so stop only once they have run.
+                    if waiters[-1] is stop_hook:
+                        self._stop_on(event)
+                    waiters.append(self._stop_on)
+
+                waiters.append(stop_hook)
             else:
                 stop_at = float(until)
-                if stop_at < self._now:
+                if stop_at < self.now:
                     raise ValueError(
-                        f"until ({stop_at}) must not be before now ({self._now})"
+                        f"until ({stop_at}) must not be before now ({self.now})"
                     )
         try:
             self._loop(stop_at)
         except StopSimulation as stop:
             return stop.value
         if stop_at != float("inf"):
-            self._now = stop_at
+            self.now = stop_at
         if isinstance(until, Event) and not until.triggered:
             raise SimulationError(
                 "No scheduled events left but the until-event was not triggered"
@@ -759,13 +774,13 @@ class Environment:
         ``run(until=...)`` for a plain time horizon.
         """
         until = float(until)
-        if until < self._now:
+        if until < self.now:
             raise ValueError(
-                f"until ({until}) must not be before now ({self._now})"
+                f"until ({until}) must not be before now ({self.now})"
             )
         if not self._loop(until, wall_budget_s=wall_budget_s, check_every=check_every):
             return False
-        self._now = until
+        self.now = until
         return True
 
     def _stop_on(self, event: Event) -> None:
@@ -776,10 +791,6 @@ class Environment:
         raise StopSimulation(value)
 
     # -- event factories ----------------------------------------------------
-    def event(self) -> Event:
-        """Create a new pending event."""
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires after ``delay`` time units."""
         if delay < 0:
@@ -795,17 +806,13 @@ class Environment:
         self._eid += 1
         # Tested on the sum, not on ``delay == 0``: a delay smaller than
         # one ulp of the clock is due now too, and joins this instant.
-        now = self._now
+        now = self.now
         at = now + delay
         if at == now:
             self._normal.append(event)
         else:
             heappush(self._queue, (at, self._eid, event))
         return event
-
-    def process(self, generator: Generator, name: str = "") -> Process:
-        """Start a new process from ``generator``."""
-        return Process(self, generator, name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event triggering when all of ``events`` have triggered."""

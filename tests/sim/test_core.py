@@ -82,6 +82,72 @@ def test_run_until_event_returns_its_value():
     assert env.run(until=p) == "finished"
 
 
+def test_run_until_event_resumes_waiters_that_joined_after_the_call():
+    # The waiter starts inside run(), so it waits behind the stop hook.
+    env = Environment()
+    signal = env.event()
+    log = []
+
+    def waiter(env):
+        value = yield signal
+        log.append((env.now, value))
+
+    def trigger(env):
+        yield env.timeout(1.0)
+        signal.succeed("v")
+
+    env.process(waiter(env))
+    env.process(trigger(env))
+    assert env.run(until=signal) == "v"
+    assert log == [(1.0, "v")]
+
+
+def test_run_until_event_stops_after_its_callbacks_only():
+    env = Environment()
+    signal = env.event()
+    log = []
+
+    def waiter(env):
+        yield signal
+        log.append("waiter")
+        yield env.timeout(0)
+        log.append("after-zero-delay")
+
+    def trigger(env):
+        yield env.timeout(1.0)
+        signal.succeed()
+
+    env.process(waiter(env))
+    env.process(trigger(env))
+    env.run(until=signal)
+    assert log == ["waiter"]
+    assert env.now == 1.0 and env.peek() == 1.0
+    env.run()
+    assert log == ["waiter", "after-zero-delay"]
+
+
+def test_run_until_failed_event_raises_after_its_waiters_ran():
+    env = Environment()
+    signal = env.event()
+    caught = []
+
+    def waiter(env):
+        try:
+            yield signal
+        except RuntimeError as error:
+            caught.append(str(error))
+
+    def trigger(env):
+        yield env.timeout(1.0)
+        signal.fail(RuntimeError("boom"))
+
+    env.process(waiter(env))
+    env.process(trigger(env))
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run(until=signal)
+    assert caught == ["boom"]
+
+
 def test_run_until_time_stops_clock_exactly():
     env = Environment()
 
@@ -501,6 +567,31 @@ def test_yield_non_event_fails_process():
     env.process(proc(env))
     with pytest.raises(SimulationError, match="non-event"):
         env.run()
+
+
+def test_yield_non_event_with_callbacks_fails_process():
+    # Only an Event may be waited on, whatever attributes the object has.
+    env = Environment()
+
+    class LooksLikeAnEvent:
+        callbacks = []
+        _value = None
+
+    def proc(env):
+        yield LooksLikeAnEvent()
+
+    env.process(proc(env))
+    with pytest.raises(SimulationError, match="non-event"):
+        env.run()
+    assert LooksLikeAnEvent.callbacks == []
+
+
+def test_clock_is_a_plain_attribute():
+    env = Environment(initial_time=3.0)
+    assert "now" in vars(env)
+    env.timeout(2.0)
+    env.run()
+    assert vars(env)["now"] == 5.0
 
 
 def test_peek_and_step():
