@@ -4,9 +4,10 @@ The paper evaluates AccelFlow on one 36-core server; this package
 models the datacenter context that motivates it — a fleet of such
 servers sharing one event calendar, fronted by pluggable balancing
 policies (including an accelerator-occupancy-aware one in the spirit of
-the paper's LdB-backed dispatchers), a reactive autoscaler driven by
-the MMPP load signal, SLO-aware admission control, and machine-failure
-injection with rerouting. See ``docs/tutorial.md`` ("Cluster
+the paper's LdB-backed dispatchers), SLO-aware admission control, a
+health plane that ejects lame-duck machines, machine-failure injection
+with rerouting, and an optional fluid tier that absorbs chosen
+machines' load analytically. See ``docs/tutorial.md`` ("Cluster
 simulation") and the ``fig_cluster`` experiment.
 """
 
@@ -16,7 +17,6 @@ from .admission import (
     AdmissionController,
     AdmissionDecision,
 )
-from .autoscaler import Autoscaler, AutoscalerConfig
 from .balancer import (
     BALANCER_POLICIES,
     POLICY_ORDER,
@@ -38,8 +38,6 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionDecision",
-    "Autoscaler",
-    "AutoscalerConfig",
     "BALANCER_POLICIES",
     "POLICY_ORDER",
     "AcceleratorAwareBalancer",

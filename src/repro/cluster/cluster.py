@@ -12,9 +12,8 @@ full :class:`~repro.server.SimulatedServer` seeded independently via
 3. the **request lifecycle** — dispatch, and on a machine failure
    reroute the interrupted request to a survivor (bounded retries).
 
-A reactive :class:`~repro.cluster.autoscaler.Autoscaler` may grow and
-drain the fleet from the observed load signal, and scheduled
-:class:`MachineFailure` events kill machines mid-run. Cluster-level
+Scheduled :class:`MachineFailure` events kill machines mid-run, and
+the request lifecycle reroutes their in-flight work. Cluster-level
 observability (fleet gauges, control-plane facts on the telemetry bus)
 plugs into the same :class:`~repro.obs.ObsConfig` switchboard as
 everything else.
@@ -32,7 +31,6 @@ from ..sim import Environment, Interrupt, Process, RandomStreams, derive_seed
 from ..workloads.request import Request, RequestSampler
 from ..workloads.spec import ServiceSpec
 from .admission import AdmissionController, AdmissionDecision
-from .autoscaler import Autoscaler
 from .balancer import make_balancer
 from .fluid import FluidTier
 from .health import HealthMonitor
@@ -77,9 +75,6 @@ class SimulatedCluster:
         self.admission = (
             AdmissionController(config.admission) if config.admission else None
         )
-        self.autoscaler = (
-            Autoscaler(self, config.autoscaler) if config.autoscaler else None
-        )
         #: The fluid-approximation tier, when configured (its CRN
         #: streams are dedicated, so enabling it never perturbs the
         #: draws of the exact simulation).
@@ -120,13 +115,11 @@ class SimulatedCluster:
             self.bus = session.bus
 
         for _ in range(config.machines):
-            self.add_machine(warmup_ns=0.0)
+            self.add_machine()
         for failure in config.failures:
             self.env.process(
                 self._failure_process(failure), name="machine-failure"
             )
-        if self.autoscaler is not None:
-            self.autoscaler.start()
         if self.metrics is not None:
             self._register_gauges()
             self.metrics.start()
@@ -134,8 +127,8 @@ class SimulatedCluster:
     # ------------------------------------------------------------------
     # Fleet membership
     # ------------------------------------------------------------------
-    def add_machine(self, warmup_ns: float = 0.0) -> ClusterMachine:
-        """Add a machine; it becomes routable after ``warmup_ns``."""
+    def add_machine(self) -> ClusterMachine:
+        """Add a machine; it is routable at once."""
         index = self._machine_counter
         self._machine_counter += 1
         config = self.config
@@ -151,43 +144,20 @@ class SimulatedCluster:
             env=self.env,
             faults=config.faults,
         )
-        machine = ClusterMachine(
-            index, server, warm_at_ns=self.env.now + warmup_ns
-        )
+        machine = ClusterMachine(index, server)
         self.machines.append(machine)
         self.peak_machines = max(
-            self.peak_machines, len(self.active_machines())
+            self.peak_machines, len(self.routable_machines())
         )
         if self.bus is not None:
             self.bus.publish(
                 Marker(
                     t_ns=self.env.now,
                     name="machine-added",
-                    args={"machine": index, "warmup_ns": warmup_ns},
+                    args={"machine": index},
                 )
             )
         return machine
-
-    def drain_one(self) -> Optional[ClusterMachine]:
-        """Drain the active machine with the least outstanding work."""
-        candidates = [
-            m
-            for m in self.machines
-            if m.state in (MachineState.WARMING, MachineState.ALIVE)
-        ]
-        if len(candidates) <= 1:
-            return None
-        victim = min(candidates, key=lambda m: (m.outstanding_count, -m.index))
-        victim.drain()
-        if self.bus is not None:
-            self.bus.publish(
-                Marker(
-                    t_ns=self.env.now,
-                    name="machine-drained",
-                    args={"machine": victim.index},
-                )
-            )
-        return victim
 
     def fail_machine(self, index: int) -> int:
         """Kill the machine with fleet index ``index`` right now."""
@@ -215,16 +185,8 @@ class SimulatedCluster:
         raise KeyError(f"no machine with index {index}")
 
     def routable_machines(self) -> List[ClusterMachine]:
-        """Machines the balancer may currently target."""
+        """Machines the balancer may currently target: the live ones."""
         return [m for m in self.machines if m.routable]
-
-    def active_machines(self) -> List[ClusterMachine]:
-        """Machines that count toward capacity (warming included)."""
-        return [
-            m
-            for m in self.machines
-            if m.state in (MachineState.WARMING, MachineState.ALIVE)
-        ]
 
     def _failure_process(self, failure: MachineFailure):
         yield self.env.timeout(failure.at_ns)
@@ -246,13 +208,6 @@ class SimulatedCluster:
         terminal state.
         """
         self.total_arrivals += 1
-        return self.env.process(
-            self._lifecycle(request), name=f"clreq-{request.rid}"
-        )
-
-    def submit_internal(self, request: Request) -> Process:
-        """Lifecycle for a request already counted at the front door
-        (fluid-tier materialization re-entering the exact tier)."""
         return self.env.process(
             self._lifecycle(request), name=f"clreq-{request.rid}"
         )
@@ -342,7 +297,7 @@ class SimulatedCluster:
                 return self._give_up(request, front_rid)
             if self.health is not None:
                 # Lame ducks leave the *candidate set*, not the fleet:
-                # the autoscaler and capacity accounting still see them.
+                # capacity accounting still sees them.
                 machines = self.health.filter_routable(machines)
             machine = self.balancer.pick(machines, request)
             if self.fluid is not None and self.fluid.is_fluid(machine):
@@ -477,9 +432,6 @@ class SimulatedCluster:
             "machines_failed": self.machines_failed,
             "peak_machines": self.peak_machines,
             "machines": [m.stats() for m in self.machines],
-            "autoscaler": (
-                self.autoscaler.stats() if self.autoscaler is not None else None
-            ),
             "admission": (
                 self.admission.stats() if self.admission is not None else None
             ),

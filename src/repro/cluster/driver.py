@@ -6,8 +6,8 @@ feed the cluster's front door, every request's lifecycle process lands
 in a sink, and the run ends at full completion or at a horizon. The
 fold produces a :class:`ClusterResult` with per-service
 :class:`~repro.server.metrics.ServiceResult` objects plus the
-fleet-level counters (shed / degraded / rerouted / lost, machine and
-autoscaler stats) and a cluster-wide latency distribution.
+fleet-level counters (shed / degraded / rerouted / lost, machine
+stats) and a cluster-wide latency distribution.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from ..sim import LatencyRecorder
 from ..workloads.arrivals import make_arrivals
 from ..workloads.spec import ServiceSpec
 from .admission import AdmissionConfig
-from .autoscaler import AutoscalerConfig
 from .cluster import MachineFailure, RequestStatus, SimulatedCluster
 from .fluid import FluidConfig
 from .health import HealthConfig
@@ -64,7 +63,6 @@ class ClusterConfig(OpenLoopConfig):
     generations: Tuple[str, ...] = ()
     #: Reroute attempts after machine failures before giving up.
     max_reroutes: int = 2
-    autoscaler: Optional[AutoscalerConfig] = None
     admission: Optional[AdmissionConfig] = None
     failures: Tuple[MachineFailure, ...] = ()
     #: Fluid-approximation tier (None = every request simulates
@@ -101,7 +99,6 @@ class ClusterResult:
     machines_failed: int = 0
     peak_machines: int = 0
     machine_stats: List[Dict] = dataclass_field(default_factory=list)
-    autoscaler_stats: Optional[Dict] = None
     admission_stats: Optional[Dict] = None
     offered_rps: Dict[str, float] = dataclass_field(default_factory=dict)
     #: Fluid-tier accounting (``FluidTier.stats()``), None without the tier.
@@ -241,16 +238,9 @@ def run_cluster(
         if fluid is not None:
             # Wait for the analytical queues to drain (mass decays
             # exponentially, so "drained" means below a negligible
-            # threshold) and for materialized requests to finish; the
-            # horizon still bounds an unstable fluid queue.
-            while True:
-                pending = [
-                    proc
-                    for _, _, proc in fluid.materialized_sink
-                    if not proc.triggered
-                ]
-                if fluid.total_mass() <= 0.05 and not pending:
-                    break
+            # threshold); the horizon still bounds an unstable fluid
+            # queue.
+            while fluid.total_mass() > 0.05:
                 yield env.timeout(config.fluid.quantum_ns)
 
     watcher = env.process(_watch_completion(env))
@@ -280,10 +270,7 @@ def fold_cluster_result(
         for spec in services
     }
     recorder = LatencyRecorder(warmup_fraction=config.warmup_fraction)
-    materialized = (
-        cluster.fluid.materialized_sink if cluster.fluid is not None else []
-    )
-    for name, arrival_ns, proc in list(sink) + list(materialized):
+    for name, arrival_ns, proc in sink:
         result = results[name]
         if not proc.triggered:
             # Still in flight at the horizon.
@@ -320,7 +307,6 @@ def fold_cluster_result(
         machines_failed=stats["machines_failed"],
         peak_machines=stats["peak_machines"],
         machine_stats=stats["machines"],
-        autoscaler_stats=stats["autoscaler"],
         admission_stats=stats["admission"],
         offered_rps={spec.name: config.offered_rps(spec) for spec in services},
         fluid_stats=stats["fluid"],

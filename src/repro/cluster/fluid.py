@@ -1,27 +1,24 @@
-"""Cluster integration of the fluid tier: config, calibration, handoff.
+"""Cluster integration of the fluid tier: config, calibration, accounting.
 
 :class:`FluidTier` is the bridge between the analytical machinery in
-:mod:`repro.sim.fluid` and the exact cluster simulation: it decides per
-machine (via a :class:`~repro.sim.fluid.TierPolicy`) whether requests
-routed there are simulated exactly or absorbed as fluid mass, owns the
-per-(machine, service) :class:`~repro.sim.fluid.FluidQueue` shims, and
-handles the two direction changes:
-
-* **exact -> fluid** needs no handoff: future arrivals are absorbed as
-  mass at the front door; in-flight discrete requests finish exactly.
-* **fluid -> exact** *materializes* the machine's queued mass back into
-  discrete requests, deterministically from dedicated CRN streams
-  (``fluid/materialize``, ``fluid/fields``, ``fluid/payload/*``), so a
-  run with the fluid tier enabled is exactly reproducible and adding
-  the tier never perturbs the pre-existing streams.
+:mod:`repro.sim.fluid` and the exact cluster simulation: the machines
+named in ``FluidConfig.fluid_machines`` go fluid once the tier is
+calibrated, requests routed to them are absorbed as fluid mass, and
+the tier owns the per-(machine, service)
+:class:`~repro.sim.fluid.FluidQueue` shims. Going fluid needs no
+handoff: future arrivals are absorbed as mass at the front door, and
+in-flight discrete requests finish exactly. A machine never returns
+from fluid to exact. The batched fast path splits arrivals from its
+own CRN stream (``fluid/batch-split``), so adding the tier never
+perturbs the pre-existing streams.
 
 Calibration: the fluid model needs a per-service service rate ``mu``.
 Machines start exact; the cluster feeds every exact completion's
 latency into the tier, and once each service has
 ``calibrate_requests`` samples (or an explicit ``service_time_ns``
-override) machines may go fluid. The calibrated mean latency doubles
-as ``1/mu`` and the calibration sample's p99/mean ratio shapes the
-fluid tier's p99 estimate.
+override) the fluid machines go fluid. The calibrated mean latency
+doubles as ``1/mu`` and the calibration sample's p99/mean ratio shapes
+the fluid tier's p99 estimate.
 
 Approximations (documented; the validation harness
 ``tests/sim/test_fluid_accuracy.py`` bounds their effect):
@@ -29,29 +26,18 @@ Approximations (documented; the validation harness
 * A fluid machine is one M/M/k queue per service with
   ``effective_servers`` shared servers; cross-service contention on a
   machine is not modelled.
-* Materialized requests restart their latency clock — time already
-  spent as mass is dropped. Only matters across tier flips.
 * Fluid mass bypasses per-request admission and balancer policy
   detail (batched arrivals split by machine count).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..sim import percentile
-from ..sim.fluid import (
-    EXACT,
-    FLUID,
-    FluidQueue,
-    FluidStepper,
-    StaticTierPolicy,
-    TierPolicy,
-    UtilizationTierPolicy,
-)
-from ..workloads.request import Request, RequestSampler
+from ..sim.fluid import FluidQueue, FluidStepper
+from ..workloads.request import Request
 from ..workloads.spec import ServiceSpec
 
 __all__ = ["FluidConfig", "FluidTier", "FLUID_TOLERANCES"]
@@ -71,21 +57,15 @@ class FluidConfig:
     """Configuration of the cluster's fluid-approximation tier.
 
     Presence of a ``FluidConfig`` on a :class:`ClusterConfig` enables
-    the tier; ``policy="static"`` with an empty ``fluid_machines`` is
-    the degenerate all-exact setup (byte-identical to ``fluid=None``,
-    asserted by the validation harness).
+    the tier; an empty ``fluid_machines`` is the degenerate all-exact
+    setup (byte-identical to ``fluid=None``, asserted by the validation
+    harness).
     """
 
-    #: "static" (fixed ``fluid_machines``) or "auto" (utilization
-    #: hysteresis per machine).
-    policy: str = "static"
-    #: Machine indices pinned fluid under the static policy.
+    #: Machine indices that go fluid once the tier is calibrated.
     fluid_machines: Tuple[int, ...] = ()
     #: Sim-time quantum of the fluid stepper.
     quantum_ns: float = 0.25e6
-    #: Auto-policy hysteresis thresholds on offered utilization.
-    go_fluid_below: float = 0.4
-    go_exact_above: float = 0.75
     #: Exact completions per service required before machines may go
     #: fluid (ignored for services with a ``service_time_ns`` override).
     calibrate_requests: int = 25
@@ -102,13 +82,6 @@ class FluidConfig:
     #: EWMA smoothing for per-queue arrival-rate estimates.
     rate_alpha: float = 0.3
 
-    def make_policy(self) -> TierPolicy:
-        if self.policy == "static":
-            return StaticTierPolicy(self.fluid_machines)
-        if self.policy == "auto":
-            return UtilizationTierPolicy(self.go_fluid_below, self.go_exact_above)
-        raise ValueError(f"unknown fluid tier policy {self.policy!r}")
-
 
 class FluidTier:
     """Runtime coordinator of the fluid tier inside one cluster."""
@@ -116,41 +89,25 @@ class FluidTier:
     def __init__(self, cluster, config: FluidConfig):
         self.cluster = cluster
         self.config = config
-        self.policy = config.make_policy()
         self.stepper: Optional[FluidStepper] = None
         self._specs: Dict[str, ServiceSpec] = {}
         #: (machine index, service name) -> FluidQueue
         self.queues: Dict[Tuple[int, str], FluidQueue] = {}
-        self._tiers: Dict[int, str] = {}
+        #: Indices of the machines running fluid right now.
+        self._fluid: Set[int] = set()
         #: Calibration latency samples per service (exact completions).
         self._calibration: Dict[str, List[float]] = {}
         self._service_time: Dict[str, float] = dict(config.service_time_ns)
         self._p99_ratio: Dict[str, float] = {}
-        #: Per-machine EWMA arrival-rate estimate + last-seen arrival
-        #: count, for the symmetric utilization signal of the auto
-        #: policy (works the same whether the machine is fluid or exact).
-        self._rate_estimate: Dict[int, float] = {}
-        self._arrival_marks: Dict[int, float] = {}
-        self._absorbed_per_machine: Dict[int, float] = {}
         self._last_eval_ns = 0.0
-        # Dedicated CRN streams: adding the fluid tier must not perturb
-        # any pre-existing stream, and materialization must be exactly
-        # reproducible.
-        self._materialize_stream = cluster.streams.stream("fluid/materialize")
+        # Dedicated CRN stream: adding the fluid tier must not perturb
+        # any pre-existing stream.
         self._batch_stream = cluster.streams.stream("fluid/batch-split")
-        self._sampler = RequestSampler(
-            cluster.streams, cluster.config.branch_probs, prefix="fluid/"
-        )
         # Counters / accounting (absorbed is a float: batched arrivals
         # spread fractional mass across machines).
         self.absorbed = 0.0
-        self.materialized = 0
-        self.materialized_mass = 0.0
         self.tier_flips = 0
         self.lost_mass = 0.0
-        #: ``(service name, arrival_ns, lifecycle process)`` triples of
-        #: materialized requests, folded by the driver like the sink.
-        self.materialized_sink: List[Tuple[str, float, object]] = []
         self._fraction_integral_ns = 0.0
         self._fraction_elapsed_ns = 0.0
 
@@ -213,11 +170,11 @@ class FluidTier:
     # Tier state
     # ------------------------------------------------------------------
     def is_fluid(self, machine) -> bool:
-        return self._tiers.get(machine.index, EXACT) == FLUID
+        return machine.index in self._fluid
 
     def fluid_fraction(self) -> float:
-        """Instantaneous fraction of active machines running fluid."""
-        active = self.cluster.active_machines()
+        """Instantaneous fraction of live machines running fluid."""
+        active = self.cluster.routable_machines()
         if not active:
             return 0.0
         fluid = sum(1 for m in active if self.is_fluid(m))
@@ -233,7 +190,7 @@ class FluidTier:
         return sum(queue.mass for queue in self.queues.values())
 
     # ------------------------------------------------------------------
-    # Intake (exact -> fluid direction)
+    # Intake
     # ------------------------------------------------------------------
     def _queue_for(self, machine_index: int, service: str) -> FluidQueue:
         key = (machine_index, service)
@@ -253,9 +210,6 @@ class FluidTier:
         """Absorb one front-door request into the machine's fluid mass."""
         self._queue_for(machine.index, request.spec.name).arrive(1.0)
         self.absorbed += 1
-        self._absorbed_per_machine[machine.index] = (
-            self._absorbed_per_machine.get(machine.index, 0) + 1
-        )
         machine.fluid_mass += 1.0
 
     def absorb_mass(self, machine, spec: ServiceSpec, mass: float) -> None:
@@ -264,46 +218,7 @@ class FluidTier:
             return
         self._queue_for(machine.index, spec.name).arrive(mass)
         self.absorbed += mass
-        self._absorbed_per_machine[machine.index] = (
-            self._absorbed_per_machine.get(machine.index, 0) + mass
-        )
         machine.fluid_mass += mass
-
-    # ------------------------------------------------------------------
-    # Handoff (fluid -> exact direction)
-    # ------------------------------------------------------------------
-    def materialize(self, machine) -> int:
-        """Turn the machine's queued mass back into discrete requests.
-
-        The integer part of each queue's mass materializes directly;
-        the fractional remainder becomes one more request with the
-        matching Bernoulli probability, so the *expected* materialized
-        count equals the mass and the realization is deterministic in
-        the CRN stream. Returns the number of requests created.
-        """
-        created = 0
-        for (index, service), queue in sorted(self.queues.items()):
-            if index != machine.index or queue.mass <= 0:
-                continue
-            whole = math.floor(queue.mass)
-            frac = queue.mass - whole
-            count = whole + (
-                1 if frac > 0 and self._materialize_stream.bernoulli(frac) else 0
-            )
-            self.materialized_mass += queue.mass
-            queue.remove_mass(queue.mass)
-            for _ in range(count):
-                request = self._sampler.sample(
-                    self._specs[service], self.cluster.env.now
-                )
-                proc = self.cluster.submit_internal(request)
-                self.materialized_sink.append(
-                    (service, request.arrival_ns, proc)
-                )
-            created += count
-        self.materialized += created
-        machine.fluid_mass = 0.0
-        return created
 
     def on_machine_failed(self, machine) -> None:
         """A fluid machine died: its queued mass is lost work."""
@@ -312,7 +227,7 @@ class FluidTier:
                 self.lost_mass += queue.mass
                 queue.remove_mass(queue.mass)
         machine.fluid_mass = 0.0
-        self._tiers[machine.index] = EXACT
+        self._fluid.discard(machine.index)
 
     # ------------------------------------------------------------------
     # Per-quantum evaluation (stepper hook)
@@ -330,34 +245,15 @@ class FluidTier:
                     stepper.register(queue)
         dt = now_ns - self._last_eval_ns
         self._last_eval_ns = now_ns
+        # ``ready`` only ever turns true, so a fluid machine stays fluid.
         ready = self.ready()
-        active = self.cluster.active_machines()
+        active = self.cluster.routable_machines()
         fluid_count = 0
-        alpha = self.config.rate_alpha
         for machine in active:
-            # Symmetric arrival-rate signal: dispatched (exact) plus
-            # absorbed (fluid) since the previous step.
-            arrivals = machine.dispatched + self._absorbed_per_machine.get(
-                machine.index, 0
-            )
-            mark = self._arrival_marks.get(machine.index, arrivals)
-            self._arrival_marks[machine.index] = arrivals
-            if dt > 0:
-                instant = (arrivals - mark) / dt
-                rate = self._rate_estimate.get(machine.index, 0.0)
-                rate += alpha * (instant - rate)
-                self._rate_estimate[machine.index] = rate
-            utilization = self._offered_utilization(machine.index)
-            current = self._tiers.get(machine.index, EXACT)
-            desired = self.policy.decide(machine.index, current, utilization)
-            if desired == FLUID and not ready:
-                desired = EXACT
-            if desired != current:
-                self._tiers[machine.index] = desired
-                self.tier_flips += 1
-                if desired == EXACT:
-                    self.materialize(machine)
-            if desired == FLUID:
+            if ready and machine.index in self.config.fluid_machines:
+                if machine.index not in self._fluid:
+                    self._fluid.add(machine.index)
+                    self.tier_flips += 1
                 fluid_count += 1
             # Refresh the occupancy signal the balancer reads.
             machine.fluid_mass = sum(
@@ -368,23 +264,6 @@ class FluidTier:
         if dt > 0 and active:
             self._fraction_integral_ns += dt * (fluid_count / len(active))
             self._fraction_elapsed_ns += dt
-
-    def _offered_utilization(self, machine_index: int) -> float:
-        """rho-hat = lambda-hat / (k mu-bar) for one machine, where
-        mu-bar averages the calibrated service rates (uncalibrated
-        services contribute nothing, which keeps machines exact)."""
-        rate = self._rate_estimate.get(machine_index, 0.0)
-        if rate <= 0:
-            return 0.0
-        times = [
-            self.service_time(name)
-            for name in self._specs
-            if self._service_calibrated(name)
-        ]
-        if not times:
-            return 1.0  # unknown service mix: report hot, stay exact
-        mean_time = sum(times) / len(times)
-        return rate * mean_time / self.config.effective_servers
 
     # ------------------------------------------------------------------
     # Reporting
@@ -418,10 +297,7 @@ class FluidTier:
 
     def stats(self) -> Dict[str, object]:
         return {
-            "policy": self.config.policy,
             "absorbed": self.absorbed,
-            "materialized": self.materialized,
-            "materialized_mass": self.materialized_mass,
             "tier_flips": self.tier_flips,
             "lost_mass": self.lost_mass,
             "residual_mass": self.total_mass(),

@@ -3,7 +3,7 @@
 A :class:`ClusterMachine` wraps a :class:`~repro.server.SimulatedServer`
 that lives on the *cluster's* shared :class:`~repro.sim.Environment` and
 adds what the control plane needs to know about it: lifecycle state
-(warming / alive / draining / dead), the set of outstanding requests,
+(alive / dead), the set of outstanding requests,
 and the occupancy signals the load-balancing policies read.
 
 Two occupancy signals are exposed:
@@ -32,26 +32,18 @@ __all__ = ["ClusterMachine", "MachineState"]
 class MachineState:
     """Lifecycle states of a fleet member."""
 
-    WARMING = "warming"
     ALIVE = "alive"
-    DRAINING = "draining"
     DEAD = "dead"
 
 
 class ClusterMachine:
     """A :class:`SimulatedServer` inside a fleet."""
 
-    def __init__(self, index: int, server: SimulatedServer, warm_at_ns: float = 0.0):
+    def __init__(self, index: int, server: SimulatedServer):
         self.index = index
         self.server = server
         self.env = server.env
-        #: Absolute sim time at which the machine finishes warming up.
-        self.warm_at_ns = warm_at_ns
-        self.state = (
-            MachineState.WARMING
-            if warm_at_ns > self.env.now
-            else MachineState.ALIVE
-        )
+        self.state = MachineState.ALIVE
         self.added_at_ns = self.env.now
         self.died_at_ns: Optional[float] = None
         self.dispatched = 0
@@ -70,19 +62,7 @@ class ClusterMachine:
     @property
     def routable(self) -> bool:
         """True when the balancer may send new requests here."""
-        if self.state == MachineState.WARMING and self.env.now >= self.warm_at_ns:
-            self.state = MachineState.ALIVE
         return self.state == MachineState.ALIVE
-
-    @property
-    def retired(self) -> bool:
-        """A draining machine with no work left can leave the fleet."""
-        return self.state == MachineState.DRAINING and not self._outstanding
-
-    def drain(self) -> None:
-        """Stop receiving new requests; outstanding work finishes."""
-        if self.state in (MachineState.WARMING, MachineState.ALIVE):
-            self.state = MachineState.DRAINING
 
     def fail(self, cause: str = "machine-failure") -> int:
         """Kill the machine: every in-flight request is interrupted.

@@ -53,7 +53,7 @@ def fingerprint_manifest(root: Optional[str] = None) -> List[str]:
     paths: List[str] = []
     for dirpath, dirnames, filenames in os.walk(root):
         # Prune in place *before* descent. (A previous version wrapped
-        # os.walk in sorted(), which materialized the whole walk first
+        # os.walk in sorted(), which listed the whole walk first
         # and made this assignment a dead letter.)
         dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
         for filename in filenames:

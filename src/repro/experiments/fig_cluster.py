@@ -40,7 +40,7 @@ SERVICES = ("UniqId", "StoreP", "Login")
 #: Processor generation of machine i — a deliberately skewed fleet.
 GENERATIONS = ("haswell", "skylake", "emerald-rapids")
 
-#: Fleet size (fixed; the autoscaler is exercised by its own tests).
+#: Fleet size (fixed for every policy and load).
 MACHINES = 3
 
 

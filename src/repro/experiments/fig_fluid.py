@@ -69,7 +69,6 @@ def run_shard(shard: Shard, scale: str) -> Dict[str, float]:
     fluid = None
     if shard.params["mode"] == "fluid":
         fluid = FluidConfig(
-            policy="static",
             fluid_machines=FLUID_MACHINES,
             calibrate_requests=20,
         )

@@ -5,7 +5,6 @@ from .atm import AtmFullError, AtmMemory
 from .cpu import CorePool
 from .dma import DmaPool
 from .ensemble import ServerHardware
-from .mesh import MeshTopology, PORTAL, build_chiplet_meshes
 from .noc import CPU_ENDPOINT, MEMORY_ENDPOINT, Network
 from .ops import AccelOp, QueueEntry
 from .placement import (
@@ -58,9 +57,6 @@ __all__ = [
     "HopModel",
     "Iommu",
     "MEMORY_ENDPOINT",
-    "MeshTopology",
-    "PORTAL",
-    "build_chiplet_meshes",
     "MachineParams",
     "Network",
     "NocParams",

@@ -43,7 +43,7 @@ class Route:
     Built once per endpoint pair by :meth:`Network.route`: whether the
     pair crosses chiplets, the resources each leg contends for, the
     link key the fault plane gates on, and the :class:`NocParams`
-    latencies evaluated for the pair's hop counts.
+    latencies of each leg at the average hop count.
     """
 
     __slots__ = (
@@ -65,11 +65,7 @@ class Route:
         self.src_fabric: Resource = network._fabrics[src_chip]
         #: The first mesh leg: to the destination on one chiplet, else
         #: to the source chiplet's portal.
-        src_hops = (
-            network._hops(src_chip, src) if self.crosses
-            else network._pair_hops(src, dst)
-        )
-        self.src_mesh_ns = noc.mesh_latency_ns(src_hops, ghz)
+        self.src_mesh_ns = noc.mesh_latency_ns(noc.mesh_avg_hops, ghz)
         # The inter-chiplet leg and the destination mesh leg; None on
         # one chiplet.
         self.link: Optional[Resource] = None
@@ -81,9 +77,7 @@ class Route:
             self.link = network._links[self.link_key]
             self.dst_fabric = network._fabrics[dst_chip]
             self.link_latency_ns = noc.inter_chiplet_latency_ns(ghz)
-            self.dst_mesh_ns = noc.mesh_latency_ns(
-                network._hops(dst_chip, dst), ghz
-            )
+            self.dst_mesh_ns = noc.mesh_latency_ns(noc.mesh_avg_hops, ghz)
 
 
 class Network:
@@ -111,11 +105,6 @@ class Network:
         #: supplies link-down gates and the degradation factor for
         #: inter-chiplet legs.
         self.fault_plane = None
-        self._meshes = None
-        if self.noc.detailed_mesh:
-            from .mesh import build_chiplet_meshes
-
-            self._meshes = build_chiplet_meshes(self.layout)
         #: src -> dst -> :class:`Route`, filled on first use.
         self._routes: Dict[Endpoint, Dict[Endpoint, Route]] = {}
 
@@ -136,28 +125,6 @@ class Network:
             route = Route(self, src, dst)
             self._routes.setdefault(src, {})[dst] = route
             return route
-
-    def _hops(self, chiplet: int, endpoint: Endpoint) -> float:
-        """Hop count from ``endpoint`` to the chiplet's portal stop."""
-        if self._meshes is None:
-            return self.noc.mesh_avg_hops
-        from .mesh import PORTAL
-
-        mesh = self._meshes[chiplet]
-        member = PORTAL if endpoint in (CPU_ENDPOINT, MEMORY_ENDPOINT) else endpoint
-        return float(mesh.hops(member, PORTAL)) or 1.0
-
-    def _pair_hops(self, src: Endpoint, dst: Endpoint) -> float:
-        """Same-chiplet hop count between two endpoints."""
-        if self._meshes is None:
-            return self.noc.mesh_avg_hops
-        from .mesh import PORTAL
-
-        chiplet = self.chiplet_of(src)
-        mesh = self._meshes[chiplet]
-        a = PORTAL if src in (CPU_ENDPOINT, MEMORY_ENDPOINT) else src
-        b = PORTAL if dst in (CPU_ENDPOINT, MEMORY_ENDPOINT) else dst
-        return float(mesh.hops(a, b)) or 1.0
 
     # -- timing -------------------------------------------------------------
     def estimate_ns(self, src: Endpoint, dst: Endpoint, nbytes: int) -> float:

@@ -138,9 +138,6 @@ class NocParams:
     mesh_avg_hops: float = 3.0
     #: Parallel transfers the mesh fabric sustains per chiplet.
     mesh_parallelism: int = 8
-    #: Use the coordinate-level mesh (per-pair XY-routed hop counts,
-    #: :mod:`repro.hw.mesh`) instead of the average-hop approximation.
-    detailed_mesh: bool = False
     #: Inter-chiplet: fully connected, 60 cycles.
     inter_chiplet_cycles: float = 60.0
     #: Aggregate inter-chiplet link bandwidth (GB/s). Table III says

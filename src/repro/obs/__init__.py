@@ -54,7 +54,6 @@ from .telemetry import (
     SpanEnd,
     TelemetryBus,
     TelemetryEvent,
-    TelemetrySubscription,
 )
 from .timeline import render_timeline
 
@@ -92,7 +91,6 @@ __all__ = [
     "SpanTracer",
     "TelemetryBus",
     "TelemetryEvent",
-    "TelemetrySubscription",
     "TimeSeries",
     "chrome_trace",
     "format_profile",

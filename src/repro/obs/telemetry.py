@@ -13,11 +13,8 @@ producer resumes, and an event published while another is being
 dispatched (e.g. an :class:`AlertFired` raised by the SLO monitor
 inside a :class:`RequestEnd` delivery) nests cleanly.
 
-Boundedness shows up in two places: the bus itself keeps the last
-``capacity`` events in a ring for late consumers (overwrites are
-counted, never silent), and pull-mode :class:`TelemetrySubscription`
-queues created with :meth:`TelemetryBus.tail` drop their oldest entry
-when full, again counting the loss.
+The bus is bounded: it keeps the last ``capacity`` events in a ring
+for late consumers, and overwrites are counted, never silent.
 
 ``ObsConfig`` builds a bus whenever tracing or the streaming plane is
 on; with the bus absent, every instrumentation point costs one
@@ -43,7 +40,6 @@ __all__ = [
     "SpanEnd",
     "TelemetryBus",
     "TelemetryEvent",
-    "TelemetrySubscription",
 ]
 
 
@@ -174,33 +170,6 @@ class Marker(TelemetryEvent):
 # ----------------------------------------------------------------------
 # The bus
 # ----------------------------------------------------------------------
-class TelemetrySubscription:
-    """Pull-mode bounded queue attached to a bus via :meth:`~TelemetryBus.tail`."""
-
-    __slots__ = ("kinds", "queue", "dropped")
-
-    def __init__(self, kinds: Optional[Tuple[type, ...]], maxlen: int):
-        if maxlen <= 0:
-            raise ValueError("maxlen must be positive")
-        self.kinds = kinds
-        self.queue: deque = deque(maxlen=maxlen)
-        self.dropped = 0
-
-    def _offer(self, event: TelemetryEvent) -> None:
-        if len(self.queue) == self.queue.maxlen:
-            self.dropped += 1
-        self.queue.append(event)
-
-    def drain(self) -> List[TelemetryEvent]:
-        """Take (and clear) everything queued since the last drain."""
-        items = list(self.queue)
-        self.queue.clear()
-        return items
-
-    def __len__(self) -> int:
-        return len(self.queue)
-
-
 class TelemetryBus:
     """Bounded-ring pub/sub channel for typed telemetry events."""
 
@@ -218,7 +187,6 @@ class TelemetryBus:
         self._subscribers: List[
             Tuple[Callable[[TelemetryEvent], None], Optional[Tuple[type, ...]]]
         ] = []
-        self._tails: List[TelemetrySubscription] = []
 
     # -- subscription ------------------------------------------------------
     def subscribe(
@@ -241,30 +209,15 @@ class TelemetryBus:
             (cb, kinds) for cb, kinds in self._subscribers if cb is not callback
         ]
 
-    def tail(
-        self,
-        kinds: Optional[Sequence[Type[TelemetryEvent]]] = None,
-        maxlen: int = 256,
-    ) -> TelemetrySubscription:
-        """A pull-mode bounded queue fed by every future publish."""
-        sub = TelemetrySubscription(
-            tuple(kinds) if kinds is not None else None, maxlen
-        )
-        self._tails.append(sub)
-        return sub
-
     # -- publishing --------------------------------------------------------
     def publish(self, event: TelemetryEvent) -> None:
-        """Fan one event out to the ring, the tails and the subscribers."""
+        """Fan one event out to the ring and the subscribers."""
         self.published += 1
         kind = type(event).__name__
         self.counts[kind] = self.counts.get(kind, 0) + 1
         if len(self.events) == self.capacity:
             self.overwritten += 1
         self.events.append(event)
-        for sub in self._tails:
-            if sub.kinds is None or isinstance(event, sub.kinds):
-                sub._offer(event)
         # Tuple snapshot: a handler may subscribe/unsubscribe mid-dispatch.
         for callback, kinds in tuple(self._subscribers):
             if kinds is None or isinstance(event, kinds):

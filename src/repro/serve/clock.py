@@ -149,15 +149,6 @@ class SimClock:
                 min(self.tick_wall_s, max(remaining_wall, 0.0))
             )
 
-    async def advance_for_wall(self, wall_s: float) -> None:
-        """Run paced for ``wall_s`` wall seconds from now (paced only)."""
-        if not self.paced:
-            raise ValueError("advance_for_wall requires a finite dilation")
-        self.start()
-        await self.advance_to(
-            self.sim_target_ns() + wall_s * self.dilation * _SECOND_NS
-        )
-
     def stats(self) -> dict:
         return {
             "dilation": self.dilation,

@@ -6,7 +6,7 @@ models — through a :class:`~repro.serve.ServiceFacade` in wall-clock
 time, logging per-request latencies and finishing with the fleet
 scorecard.
 
-Determinism: the trace is materialized up front (plain CRN draws, no
+Determinism: the whole trace is drawn up front (plain CRN draws, no
 asyncio involved) and injected by a single task, so under
 ``--dilation inf`` the whole replay makes zero wall-clock reads and two
 runs with the same seed produce byte-identical scorecards. That is the

@@ -16,33 +16,26 @@ from .fluid import (
     FluidQueue,
     FluidStepper,
     MMKSteadyState,
-    StaticTierPolicy,
-    TierPolicy,
-    UtilizationTierPolicy,
     erlang_b,
     erlang_c,
     mmk_steady_state,
 )
 from .monitor import (
-    Counter,
     LatencyRecorder,
-    SlidingWindow,
     TimeWeightedValue,
     percentile,
     summarize,
 )
 from .resources import PriorityResource, Resource
 from .rng import RandomStreams, Stream, derive_seed
-from .stores import FilterStore, PriorityItem, PriorityStore, Store
+from .stores import PriorityItem, PriorityStore, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "Counter",
     "Environment",
     "Event",
-    "FilterStore",
     "FluidQueue",
     "FluidStepper",
     "Interrupt",
@@ -56,14 +49,10 @@ __all__ = [
     "RandomStreams",
     "Resource",
     "SimulationError",
-    "SlidingWindow",
-    "StaticTierPolicy",
     "Store",
     "Stream",
-    "TierPolicy",
     "TimeWeightedValue",
     "Timeout",
-    "UtilizationTierPolicy",
     "derive_seed",
     "erlang_b",
     "erlang_c",

@@ -26,11 +26,8 @@ excess of the steady state — in steady state the estimator *is* the
 textbook M/M/k result, which the validation harness
 (``tests/sim/test_fluid_accuracy.py``) asserts property-style.
 
-Tier selection is pluggable: a :class:`TierPolicy` decides per store
-whether it advances analytically ("fluid") or exactly ("exact"), either
-statically or from a utilization signal with hysteresis
-(:class:`UtilizationTierPolicy`). The cluster-side integration
-(handoff, calibration, accounting) lives in :mod:`repro.cluster.fluid`.
+The cluster-side integration (which machines go fluid, calibration,
+accounting) lives in :mod:`repro.cluster.fluid`.
 """
 
 from __future__ import annotations
@@ -42,22 +39,13 @@ from typing import Callable, Dict, List, Optional
 from .core import Environment
 
 __all__ = [
-    "FLUID",
-    "EXACT",
     "erlang_b",
     "erlang_c",
     "mmk_steady_state",
     "MMKSteadyState",
     "FluidQueue",
     "FluidStepper",
-    "TierPolicy",
-    "StaticTierPolicy",
-    "UtilizationTierPolicy",
 ]
-
-#: Tier labels (strings so they serialize cleanly into stats dicts).
-FLUID = "fluid"
-EXACT = "exact"
 
 
 def erlang_b(servers: int, offered: float) -> float:
@@ -161,8 +149,7 @@ class FluidQueue:
         self.mass = 0.0
         self.arrived_mass = 0.0
         self.completed_mass = 0.0
-        #: Mass withdrawn by fluid->exact materialization (not completed
-        #: analytically; it finishes as discrete requests instead).
+        #: Mass withdrawn without completing (a fluid machine failed).
         self.removed_mass = 0.0
         #: Sum over steps of completed_mass_in_step * latency_estimate.
         self.latency_mass_ns = 0.0
@@ -188,7 +175,7 @@ class FluidQueue:
         self._pending_arrivals += mass
 
     def remove_mass(self, mass: float) -> float:
-        """Withdraw up to ``mass`` jobs (fluid->exact materialization).
+        """Withdraw up to ``mass`` jobs (a fluid machine failed).
 
         Returns the mass actually removed.
         """
@@ -289,68 +276,10 @@ class FluidQueue:
         )
 
 
-class TierPolicy:
-    """Decides, per store, which tier advances it.
-
-    ``decide`` is consulted at every stepper quantum with the store's
-    current tier and its offered-utilization estimate; it returns the
-    tier the store should be in next.
-    """
-
-    def decide(self, store_id, current_tier: str, utilization: float) -> str:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class StaticTierPolicy(TierPolicy):
-    """Fixed assignment: the named stores are fluid, the rest exact."""
-
-    def __init__(self, fluid_stores=()):
-        self.fluid_stores = frozenset(fluid_stores)
-
-    def decide(self, store_id, current_tier: str, utilization: float) -> str:
-        return FLUID if store_id in self.fluid_stores else EXACT
-
-    def __repr__(self) -> str:
-        return f"StaticTierPolicy({sorted(self.fluid_stores)!r})"
-
-
-class UtilizationTierPolicy(TierPolicy):
-    """Hysteresis on the utilization signal: cold stores go fluid below
-    ``go_fluid_below``, hot ones return to exact above ``go_exact_above``.
-
-    The dead band between the thresholds prevents tier flapping (and
-    with it repeated materialization churn) when a store's load hovers
-    near a single threshold.
-    """
-
-    def __init__(self, go_fluid_below: float = 0.4, go_exact_above: float = 0.75):
-        if not 0.0 <= go_fluid_below < go_exact_above:
-            raise ValueError(
-                f"need 0 <= go_fluid_below < go_exact_above, got "
-                f"{go_fluid_below} / {go_exact_above}"
-            )
-        self.go_fluid_below = go_fluid_below
-        self.go_exact_above = go_exact_above
-
-    def decide(self, store_id, current_tier: str, utilization: float) -> str:
-        if current_tier == FLUID:
-            return EXACT if utilization > self.go_exact_above else FLUID
-        return FLUID if utilization < self.go_fluid_below else EXACT
-
-    def __repr__(self) -> str:
-        return (
-            f"UtilizationTierPolicy(<{self.go_fluid_below}, "
-            f">{self.go_exact_above})"
-        )
-
-
 class FluidStepper:
     """Simulation process advancing registered fluid queues on a fixed
     sim-time quantum, with an optional per-step hook (the cluster uses
-    it for tier-policy evaluation and accounting)."""
+    it for tier changes and accounting)."""
 
     def __init__(
         self,

@@ -1,4 +1,4 @@
-"""Measurement primitives: counters, utilization trackers, latency stats.
+"""Measurement primitives: utilization trackers and latency stats.
 
 These are deliberately simple and allocation-light because they sit on
 the simulator's hot paths.
@@ -7,14 +7,11 @@ the simulator's hot paths.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Dict, List, Optional
 
 __all__ = [
-    "Counter",
     "TimeWeightedValue",
     "LatencyRecorder",
-    "SlidingWindow",
     "percentile",
     "summarize",
 ]
@@ -38,25 +35,6 @@ def percentile(sorted_values: List[float], p: float) -> float:
         return sorted_values[low]
     frac = rank - low
     return sorted_values[low] * (1.0 - frac) + sorted_values[high] * frac
-
-
-class Counter:
-    """Named integer event counters."""
-
-    def __init__(self):
-        self._counts: Dict[str, int] = {}
-
-    def add(self, name: str, amount: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def __getitem__(self, name: str) -> int:
-        return self.get(name)
 
 
 class TimeWeightedValue:
@@ -182,24 +160,3 @@ def summarize(values: List[float]) -> Dict[str, float]:
         "p99": percentile(ordered, 99.0),
         "max": ordered[-1],
     }
-
-
-class SlidingWindow:
-    """Fixed-capacity FIFO of recent samples (for adaptive policies)."""
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._items: deque = deque(maxlen=capacity)
-
-    def push(self, value: float) -> None:
-        self._items.append(value)
-
-    def mean(self) -> Optional[float]:
-        if not self._items:
-            return None
-        return sum(self._items) / len(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Dict, Sequence
+from typing import Dict
 
 __all__ = ["RandomStreams", "Stream", "derive_seed"]
 
@@ -43,17 +43,8 @@ class Stream:
     def random(self) -> float:
         return self._rng.random()
 
-    def uniform(self, low: float, high: float) -> float:
-        return self._rng.uniform(low, high)
-
     def randint(self, low: int, high: int) -> int:
         return self._rng.randint(low, high)
-
-    def choice(self, seq: Sequence):
-        return self._rng.choice(seq)
-
-    def shuffle(self, seq: list) -> None:
-        self._rng.shuffle(seq)
 
     def bernoulli(self, p: float) -> bool:
         """True with probability ``p``."""
@@ -83,15 +74,6 @@ class Stream:
         constant, which preserves stream alignment across experiments.
         """
         return min(high, max(low, self.lognormal_median(median, sigma)))
-
-    def pareto(self, shape: float, scale: float) -> float:
-        """Pareto variate: scale * (1/U)^(1/shape)."""
-        if shape <= 0 or scale <= 0:
-            raise ValueError("shape and scale must be positive")
-        return scale * self._rng.paretovariate(shape) / 1.0
-
-    def normal(self, mean: float, std: float) -> float:
-        return self._rng.gauss(mean, std)
 
     def poisson(self, mean: float) -> int:
         """Poisson variate with the given mean.
@@ -129,9 +111,6 @@ class Stream:
             raise ValueError(f"probability must be in [0, 1], got {p}")
         rnd = self._rng.random
         return sum(1 for _ in range(n) if rnd() < p)
-
-    def triangular(self, low: float, high: float, mode: float) -> float:
-        return self._rng.triangular(low, high, mode)
 
 
 class RandomStreams:

@@ -1,8 +1,7 @@
 """Buffered producer/consumer channels for the simulation kernel.
 
 :class:`Store` is a bounded FIFO buffer of arbitrary items with blocking
-``put``/``get``; :class:`PriorityStore` pops the smallest item first; and
-:class:`FilterStore` lets consumers wait for items matching a predicate.
+``put``/``get``, and :class:`PriorityStore` pops the smallest item first.
 The hardware queues of the accelerator models are built on these.
 
 Performance notes
@@ -11,21 +10,20 @@ Waiter queues and the FIFO item buffer are :class:`collections.deque`:
 ``_dispatch`` serves waiters with O(1) ``popleft`` instead of the O(n)
 ``list.pop(0)`` that used to dominate store-contention profiles (every
 queued put/get shifted the whole waiter array). :class:`PriorityStore`
-keeps a plain list because ``heapq`` requires one; :class:`FilterStore`
-scans (predicates force that) but still pops matched positions in one
-pass. See ``docs/performance.md`` and ``benchmarks/bench_kernel.py``.
+keeps a plain list because ``heapq`` requires one. See
+``docs/performance.md`` and ``benchmarks/bench_kernel.py``.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 from .core import Environment, Event
 from .core import _PENDING  # kernel-internal sentinel, shared in-package
 
-__all__ = ["Store", "PriorityStore", "FilterStore", "PriorityItem"]
+__all__ = ["Store", "PriorityStore", "PriorityItem"]
 
 
 class StorePut(Event):
@@ -80,33 +78,29 @@ class StorePut(Event):
 class StoreGet(Event):
     """Pending get: triggers with the retrieved item."""
 
-    __slots__ = ("filter", "store")
+    __slots__ = ("store",)
 
-    def __init__(self, store: "Store", filter: Callable[[Any], bool] = None):
+    def __init__(self, store: "Store"):
         env = store.env
         self.env = env
         self.callbacks = []
         self._value = _PENDING
         self._defused = False
-        self.filter = filter
         self.store = store
-        # Mirror of the StorePut fast path: a filterless get from a
-        # non-empty store is served inline; dispatch only runs when the
-        # extraction freed capacity a queued put was waiting for. An
-        # unservable filterless get cannot unblock anything (an empty
-        # buffer means every admissible put was already admitted), so
-        # it parks without a dispatch pass; predicate gets always take
-        # the scanning path.
-        if filter is None and store.items:
-            self._value = store._extract(self)
+        # Mirror of the StorePut fast path: a get from a non-empty store
+        # is served inline; dispatch only runs when the extraction freed
+        # capacity a queued put was waiting for. An unservable get
+        # cannot unblock anything (an empty buffer means every
+        # admissible put was already admitted), so it parks without a
+        # dispatch pass.
+        if store.items:
+            self._value = store._extract()
             env._eid += 1
             env._normal.append(self)
             if store._put_waiters:
                 store._dispatch()
         else:
             store._get_waiters.append(self)
-            if filter is not None:
-                store._dispatch()
 
     def cancel(self) -> None:
         """Withdraw the pending get; return an already-granted item.
@@ -176,7 +170,7 @@ class Store:
         """Non-blocking get: returns None if empty."""
         if not self.items:
             return None
-        item = self._extract(None)
+        item = self._extract()
         # Extracting frees capacity, so only queued puts can progress.
         if self._put_waiters:
             self._dispatch()
@@ -200,17 +194,13 @@ class Store:
     def _insert(self, item: Any) -> None:
         self.items.append(item)
 
-    def _extract(self, getter) -> Any:
+    def _extract(self) -> Any:
         return self.items.popleft()
-
-    def _can_serve(self, getter) -> bool:
-        return bool(self.items)
 
     # -- waiter matching ----------------------------------------------------
     def _dispatch(self) -> None:
-        # FIFO/priority stores serve getters strictly in arrival order
-        # (``_can_serve`` only asks "any items?"), so both waiter queues
-        # drain with O(1) popleft. Admitting a put can unblock a getter
+        # Getters are served strictly in arrival order, so both waiter
+        # queues drain with O(1) popleft. Admitting a put can unblock a getter
         # and vice versa, hence the outer progress loop. Event.succeed
         # is inlined (queued waiters are pending by construction, so
         # the already-triggered check is skipped).
@@ -234,7 +224,7 @@ class Store:
                 progress = True
             while get_waiters and items:
                 getter = get_waiters.popleft()
-                getter._value = extract(getter)
+                getter._value = extract()
                 eid += 1
                 normal.append(getter)
                 progress = True
@@ -275,7 +265,7 @@ class PriorityStore(Store):
     def _insert(self, item: Any) -> None:
         heapq.heappush(self.items, item)
 
-    def _extract(self, getter) -> Any:
+    def _extract(self) -> Any:
         return heapq.heappop(self.items)
 
     def remove(self, item: Any) -> bool:
@@ -297,49 +287,3 @@ class PriorityStore(Store):
                     self._dispatch()
                 return True
         return False
-
-
-class FilterStore(Store):
-    """Store whose consumers can wait for items matching a predicate."""
-
-    def get(self, filter: Callable[[Any], bool] = None) -> StoreGet:  # noqa: A002
-        return StoreGet(self, filter)
-
-    def _can_serve(self, getter) -> bool:
-        if getter is None or getter.filter is None:
-            return bool(self.items)
-        return any(getter.filter(item) for item in self.items)
-
-    def _extract(self, getter) -> Any:
-        items = self.items
-        if getter is None or getter.filter is None:
-            return items.popleft()
-        for idx, item in enumerate(items):
-            if getter.filter(item):
-                del items[idx]
-                return item
-        raise LookupError("FilterStore._extract called with no matching item")
-
-    def _dispatch(self) -> None:
-        # Predicate getters are not FIFO-drainable: a blocked getter at
-        # the head must not starve a later getter whose filter matches,
-        # so the getter queue is scanned left-to-right each round
-        # (exactly the pre-deque semantics).
-        items = self.items
-        put_waiters = self._put_waiters
-        get_waiters = self._get_waiters
-        capacity = self.capacity
-        while True:
-            progress = False
-            while put_waiters and len(items) < capacity:
-                putter = put_waiters.popleft()
-                self._insert(putter.item)
-                putter.succeed()
-                progress = True
-            for getter in list(get_waiters):
-                if self._can_serve(getter):
-                    get_waiters.remove(getter)
-                    getter.succeed(self._extract(getter))
-                    progress = True
-            if not progress:
-                return

@@ -26,7 +26,6 @@ from .relief_suite import (
 from .serverless import SERVERLESS_NAMES, serverless_functions
 from .socialnetwork import SOCIAL_NETWORK_NAMES, social_network_services
 from .trainticket import train_ticket_services
-from .usuite import usuite_services
 from .spec import (
     CATEGORY_OF_KIND,
     CpuSegment,
@@ -79,6 +78,5 @@ __all__ = [
     "serverless_functions",
     "social_network_services",
     "train_ticket_services",
-    "usuite_services",
     "total_accelerators",
 ]

@@ -1,15 +1,9 @@
-"""Unit tests of the cluster fluid tier: policies, handoff, accounting."""
+"""Unit tests of the cluster fluid tier: absorption, accounting, obs."""
 
 import pytest
 
 from repro.cluster import ClusterConfig, FluidConfig, run_cluster
 from repro.obs import ObsConfig
-from repro.sim.fluid import (
-    EXACT,
-    FLUID,
-    StaticTierPolicy,
-    UtilizationTierPolicy,
-)
 from repro.workloads import social_network_services
 
 ALL_SERVICES = {s.name: s for s in social_network_services()}
@@ -17,29 +11,6 @@ ALL_SERVICES = {s.name: s for s in social_network_services()}
 
 def services(*names):
     return [ALL_SERVICES[name] for name in names]
-
-
-class TestTierPolicies:
-    def test_static_policy_pins_membership(self):
-        policy = StaticTierPolicy([1, 3])
-        assert policy.decide(1, EXACT, 0.99) == FLUID
-        assert policy.decide(3, FLUID, 0.0) == FLUID
-        assert policy.decide(0, FLUID, 0.0) == EXACT
-
-    def test_hysteresis_has_a_dead_band(self):
-        policy = UtilizationTierPolicy(go_fluid_below=0.4, go_exact_above=0.75)
-        # Cold exact machine goes fluid; hot fluid machine goes exact.
-        assert policy.decide(0, EXACT, 0.2) == FLUID
-        assert policy.decide(0, FLUID, 0.9) == EXACT
-        # Inside the dead band, both tiers are sticky (no flapping).
-        assert policy.decide(0, EXACT, 0.6) == EXACT
-        assert policy.decide(0, FLUID, 0.6) == FLUID
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            UtilizationTierPolicy(go_fluid_below=0.8, go_exact_above=0.5)
-        with pytest.raises(ValueError):
-            FluidConfig(policy="nonsense").make_policy()
 
 
 def _run(fluid, seed=0, requests=100, failures=(), obs=None):
@@ -61,7 +32,7 @@ def _run(fluid, seed=0, requests=100, failures=(), obs=None):
 class TestAbsorption:
     def test_static_fluid_machines_absorb_after_calibration(self):
         result = _run(
-            FluidConfig(policy="static", fluid_machines=(2, 3),
+            FluidConfig(fluid_machines=(2, 3),
                         calibrate_requests=15)
         )
         stats = result.fluid_stats
@@ -85,7 +56,7 @@ class TestAbsorption:
         # absorbs from the very first request routed to a fluid machine.
         overrides = {"UniqId": 100_000.0, "StoreP": 500_000.0}
         result = _run(
-            FluidConfig(policy="static", fluid_machines=(2, 3),
+            FluidConfig(fluid_machines=(2, 3),
                         service_time_ns=overrides)
         )
         per_service = result.fluid_stats["services"]
@@ -95,7 +66,7 @@ class TestAbsorption:
 
     def test_service_result_merges_fluid_estimates(self):
         result = _run(
-            FluidConfig(policy="static", fluid_machines=(2, 3),
+            FluidConfig(fluid_machines=(2, 3),
                         calibrate_requests=15)
         )
         merged = 0.0
@@ -107,71 +78,12 @@ class TestAbsorption:
         assert merged == pytest.approx(result.merged_completed(), rel=1e-9)
 
 
-class TestMaterialization:
-    def _spike_config(self):
-        # Auto policy with a tight dead band plus a mid-run load spike
-        # (via mmpp bursts) encourages fluid -> exact flips.
-        return FluidConfig(
-            policy="auto",
-            calibrate_requests=10,
-            go_fluid_below=0.5,
-            go_exact_above=0.55,
-            quantum_ns=0.2e6,
-            effective_servers=4,
-        )
-
-    def _run_spiky(self, seed=0):
-        config = ClusterConfig(
-            policy="round-robin",
-            machines=3,
-            requests_per_service=120,
-            rate_rps=45000.0,
-            seed=seed,
-            arrival_mode="mmpp",
-            mmpp_burst_factor=8.0,
-            mmpp_burst_share=0.3,
-            mmpp_dwell_ns=1.5e6,
-            warmup_fraction=0.0,
-            fluid=self._spike_config(),
-        )
-        return run_cluster(services("UniqId", "StoreP"), config)
-
-    def test_auto_policy_materializes_on_flips_and_conserves_work(self):
-        result = self._run_spiky()
-        stats = result.fluid_stats
-        assert stats["tier_flips"] > 0
-        # Everything offered is either exactly completed, analytically
-        # completed, still queued as mass, shed or lost. Materialization
-        # rounds fractional mass to whole requests (floor + Bernoulli),
-        # so the discrete surplus (count minus removed mass) is part of
-        # the exact balance.
-        rounding = stats["materialized"] - stats["materialized_mass"]
-        accounted = (
-            result.merged_completed()
-            - rounding
-            + stats["residual_mass"]
-            + result.shed
-            + result.lost
-        )
-        assert accounted == pytest.approx(result.arrivals, abs=0.5)
-        if stats["materialized"]:
-            # Materialized requests completed as real discrete samples.
-            assert result.completed > 0
-
-    def test_materialization_is_deterministic(self):
-        a = self._run_spiky(seed=5)
-        b = self._run_spiky(seed=5)
-        assert a.fluid_stats == b.fluid_stats
-        assert a.recorder.samples == b.recorder.samples
-        assert a.elapsed_ns == b.elapsed_ns
-
-
 class TestFailuresAndObs:
     def test_fluid_machine_failure_loses_mass_not_the_run(self):
         from repro.cluster import MachineFailure
 
         result = _run(
-            FluidConfig(policy="static", fluid_machines=(2, 3),
+            FluidConfig(fluid_machines=(2, 3),
                         calibrate_requests=10),
             failures=(MachineFailure(at_ns=2.5e6, machine=2),),
         )
@@ -193,7 +105,7 @@ class TestFailuresAndObs:
 
         obs = ObsConfig(metrics=True, telemetry=True)
         result = _run(
-            FluidConfig(policy="static", fluid_machines=(2, 3),
+            FluidConfig(fluid_machines=(2, 3),
                         calibrate_requests=10),
             obs=obs,
         )

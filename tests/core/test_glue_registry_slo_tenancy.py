@@ -1,11 +1,9 @@
-"""Tests for glue costs, the trace registry, SLO helpers and tenancy."""
+"""Tests for glue costs, the trace registry and tenancy."""
 
 import pytest
 
 from repro.core import (
-    DeadlineAssigner,
     GlueCostModel,
-    SloTracker,
     TenantManager,
     TraceError,
     TraceRegistry,
@@ -126,48 +124,6 @@ class TestTraceRegistry:
         registry = TraceRegistry.with_standard_templates()
         table = registry.name_table()
         assert len(table) == len(registry)
-
-
-class TestDeadlineAssigner:
-    def test_deadlines_monotone_and_end_at_budget(self):
-        trace = seq("Ser", "RPC", "Encr", "TCP", name="t")
-        path = trace.resolve({})
-        assigner = DeadlineAssigner(lambda kind: 100.0)
-        deadlines = assigner.assign(path, start_ns=1000.0, budget_ns=400.0)
-        assert deadlines == sorted(deadlines)
-        assert deadlines[-1] == pytest.approx(1400.0)
-        assert len(deadlines) == 4
-
-    def test_weights_shift_deadlines(self):
-        trace = seq("Ser", "Cmp", name="t")
-        path = trace.resolve({})
-        expected = {K.SER: 100.0, K.CMP: 300.0}
-        assigner = DeadlineAssigner(lambda kind: expected[kind])
-        deadlines = assigner.assign(path, start_ns=0.0, budget_ns=400.0)
-        assert deadlines[0] == pytest.approx(100.0)
-        assert deadlines[1] == pytest.approx(400.0)
-
-    def test_bad_budget_rejected(self):
-        trace = seq("Ser", name="t")
-        assigner = DeadlineAssigner(lambda kind: 1.0)
-        with pytest.raises(ValueError):
-            assigner.assign(trace.resolve({}), 0.0, 0.0)
-
-
-class TestSloTracker:
-    def test_counts_violations(self):
-        tracker = SloTracker(slo_ns=100.0)
-        assert tracker.record(50.0)
-        assert not tracker.record(150.0)
-        assert tracker.violation_rate == 0.5
-
-    def test_no_slo_never_violates(self):
-        tracker = SloTracker()
-        tracker.record(1e12)
-        assert tracker.violation_rate == 0.0
-
-    def test_empty_rate_zero(self):
-        assert SloTracker(100.0).violation_rate == 0.0
 
 
 class TestTenantManager:

@@ -46,7 +46,7 @@ def test_manifest_covers_every_growth_plane():
 
 
 def test_manifest_prunes_pycache(tmp_path):
-    # Regression: sorted(os.walk(...)) used to materialize the walk
+    # Regression: sorted(os.walk(...)) used to list the whole walk
     # before the prune assignment, descending into __pycache__ anyway.
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "mod.py").write_text("x = 1\n")

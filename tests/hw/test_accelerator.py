@@ -274,3 +274,22 @@ class TestStatistics:
         ):
             assert key in stats
         assert stats["ops_completed"] == 1
+
+    def test_mean_queue_wait_is_the_mean_of_the_ops_waits(self):
+        # One PE and six back-to-back ops: each waits for the ones
+        # ahead of it, so the waits differ and the mean is not zero.
+        env = Environment()
+        accel = make_accel(env, pes=1)
+        assert accel.mean_queue_wait_ns() == 0.0  # nothing dispatched yet
+        entries = [make_entry(env, cpu_ns=1000.0 * (i + 1)) for i in range(6)]
+        run_entries(env, accel, entries)
+        waits = [entry.queue_wait_ns for entry in entries]
+        assert len(set(waits)) == len(waits)
+        # FIFO: the ops dispatch in list order, so adding the waits in
+        # that order reproduces the running total bit for bit.
+        total = 0.0
+        for wait in waits:
+            total += wait
+        assert total > 0.0
+        assert accel.mean_queue_wait_ns() == total / len(waits)
+        assert accel.stats()["mean_queue_wait_ns"] == total / len(waits)

@@ -160,18 +160,19 @@ class TestDmaPool:
 
 
 class TestHopMath:
-    """Direct coverage of the estimate_ns/_pair_hops arithmetic."""
+    """Direct coverage of the estimate_ns arithmetic."""
 
     def test_pair_hops_defaults_to_avg(self):
         _, net = make_network(2)
-        assert net._pair_hops(AcceleratorKind.TCP, AcceleratorKind.SER) == (
-            net.noc.mesh_avg_hops
+        route = net.route(AcceleratorKind.TCP, AcceleratorKind.SER)
+        assert route.src_mesh_ns == net.noc.mesh_latency_ns(
+            net.noc.mesh_avg_hops, net.ghz
         )
 
     def test_intra_estimate_is_closed_form(self):
         _, net = make_network(2)
         noc = net.noc
-        hops = net._pair_hops(AcceleratorKind.TCP, AcceleratorKind.SER)
+        hops = noc.mesh_avg_hops
         expected = noc.mesh_latency_ns(hops, net.ghz) + noc.mesh_serialization_ns(
             4096, net.ghz
         )
@@ -186,11 +187,11 @@ class TestHopMath:
         src_chip, dst_chip = net.chiplet_of(src), net.chiplet_of(dst)
         assert src_chip != dst_chip
         expected = (
-            noc.mesh_latency_ns(net._hops(src_chip, src), net.ghz)
+            noc.mesh_latency_ns(noc.mesh_avg_hops, net.ghz)
             + noc.mesh_serialization_ns(nbytes, net.ghz)
             + noc.inter_chiplet_latency_ns(net.ghz)
             + noc.inter_chiplet_serialization_ns(nbytes)
-            + noc.mesh_latency_ns(net._hops(dst_chip, dst), net.ghz)
+            + noc.mesh_latency_ns(noc.mesh_avg_hops, net.ghz)
         )
         assert net.estimate_ns(src, dst, nbytes) == pytest.approx(expected)
 
@@ -199,31 +200,3 @@ class TestHopMath:
         forward = net.estimate_ns(AcceleratorKind.TCP, AcceleratorKind.LDB, 1024)
         reverse = net.estimate_ns(AcceleratorKind.LDB, AcceleratorKind.TCP, 1024)
         assert forward == pytest.approx(reverse)
-
-    def test_detailed_mesh_pair_hops(self):
-        from dataclasses import replace
-
-        env = Environment()
-        params = MachineParams().with_layout(2)
-        params = replace(params, noc=replace(params.noc, detailed_mesh=True))
-        net = Network(env, params)
-        hops = net._pair_hops(AcceleratorKind.TCP, AcceleratorKind.SER)
-        # Real placed coordinates: an integer Manhattan distance, and
-        # never the zero that would make a transfer free.
-        assert hops >= 1.0
-        assert hops == float(int(hops))
-        assert hops == net._pair_hops(AcceleratorKind.SER, AcceleratorKind.TCP)
-
-    def test_detailed_mesh_cpu_maps_to_portal(self):
-        from dataclasses import replace
-
-        from repro.hw.mesh import PORTAL
-
-        env = Environment()
-        params = MachineParams().with_layout(2)
-        params = replace(params, noc=replace(params.noc, detailed_mesh=True))
-        net = Network(env, params)
-        mesh = net._meshes[0]
-        expected = float(mesh.hops(AcceleratorKind.LDB, PORTAL)) or 1.0
-        assert net._pair_hops(CPU_ENDPOINT, AcceleratorKind.LDB) == expected
-        assert net._pair_hops(MEMORY_ENDPOINT, AcceleratorKind.LDB) == expected

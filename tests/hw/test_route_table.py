@@ -8,8 +8,6 @@ tables: every hop count, leg and sum in its old order. Reassociating
 any sum, or caching a size-dependent term, fails here.
 """
 
-from dataclasses import replace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +19,6 @@ from repro.hw import (
     MachineParams,
     Network,
 )
-from repro.hw.mesh import PORTAL, build_chiplet_meshes
 from repro.hw.params import GHZ, cycles_to_ns
 from repro.sim import Environment
 
@@ -32,9 +29,8 @@ LAYOUTS = (1, 2, 3, 4, 6)
 SIZES = (1, 15, 16, 17, 2048, 2049, 65536)
 
 
-def _params(chiplets: int, detailed: bool) -> MachineParams:
-    params = MachineParams().with_layout(chiplets)
-    return replace(params, noc=replace(params.noc, detailed_mesh=detailed))
+def _params(chiplets: int) -> MachineParams:
+    return MachineParams().with_layout(chiplets)
 
 
 def _chiplet(params, endpoint) -> int:
@@ -43,15 +39,9 @@ def _chiplet(params, endpoint) -> int:
     return params.layout.chiplet_of(endpoint)
 
 
-def _hops(params, chiplet, a, b) -> float:
-    """Mesh hops between two stops of one chiplet; the CPU and memory
-    attach at the portal, and the flat model uses the average."""
-    if not params.noc.detailed_mesh:
-        return params.noc.mesh_avg_hops
-    a = PORTAL if a in (CPU_ENDPOINT, MEMORY_ENDPOINT) else a
-    b = PORTAL if b in (CPU_ENDPOINT, MEMORY_ENDPOINT) else b
-    mesh = build_chiplet_meshes(params.layout)[chiplet]
-    return float(mesh.hops(a, b)) or 1.0
+def _hops(params) -> float:
+    """Mesh hops of one leg: the flat model uses the average."""
+    return params.noc.mesh_avg_hops
 
 
 def _legs(params, src, dst, nbytes):
@@ -60,15 +50,15 @@ def _legs(params, src, dst, nbytes):
     src_chip, dst_chip = _chiplet(params, src), _chiplet(params, dst)
     if src_chip == dst_chip:
         return [
-            noc.mesh_latency_ns(_hops(params, src_chip, src, dst), ghz)
+            noc.mesh_latency_ns(_hops(params), ghz)
             + noc.mesh_serialization_ns(nbytes, ghz)
         ]
     return [
-        noc.mesh_latency_ns(_hops(params, src_chip, src, PORTAL), ghz)
+        noc.mesh_latency_ns(_hops(params), ghz)
         + noc.mesh_serialization_ns(nbytes, ghz),
         noc.inter_chiplet_latency_ns(ghz)
         + noc.inter_chiplet_serialization_ns(nbytes),
-        noc.mesh_latency_ns(_hops(params, dst_chip, dst, PORTAL), ghz),
+        noc.mesh_latency_ns(_hops(params), ghz),
     ]
 
 
@@ -78,13 +68,13 @@ def _estimate(params, src, dst, nbytes) -> float:
     src_chip, dst_chip = _chiplet(params, src), _chiplet(params, dst)
     if src_chip == dst_chip:
         return noc.mesh_latency_ns(
-            _hops(params, src_chip, src, dst), ghz
+            _hops(params), ghz
         ) + noc.mesh_serialization_ns(nbytes, ghz)
-    time_ns = noc.mesh_latency_ns(_hops(params, src_chip, src, PORTAL), ghz)
+    time_ns = noc.mesh_latency_ns(_hops(params), ghz)
     time_ns += noc.mesh_serialization_ns(nbytes, ghz)
     time_ns += noc.inter_chiplet_latency_ns(ghz)
     time_ns += noc.inter_chiplet_serialization_ns(nbytes)
-    time_ns += noc.mesh_latency_ns(_hops(params, dst_chip, dst, PORTAL), ghz)
+    time_ns += noc.mesh_latency_ns(_hops(params), ghz)
     return time_ns
 
 
@@ -109,27 +99,25 @@ def _check_pair(params, src, dst, nbytes) -> None:
 class TestRoutesMatchTheFormulas:
     def test_every_pair_layout_and_mesh_at_boundary_sizes(self):
         for chiplets in LAYOUTS:
-            for detailed in (False, True):
-                params = _params(chiplets, detailed)
-                for src in ENDPOINTS:
-                    for dst in ENDPOINTS:
-                        for nbytes in SIZES:
-                            _check_pair(params, src, dst, nbytes)
+            params = _params(chiplets)
+            for src in ENDPOINTS:
+                for dst in ENDPOINTS:
+                    for nbytes in SIZES:
+                        _check_pair(params, src, dst, nbytes)
 
     @settings(max_examples=300, deadline=None)
     @given(
         chiplets=st.sampled_from(LAYOUTS),
-        detailed=st.booleans(),
         src=st.sampled_from(ENDPOINTS),
         dst=st.sampled_from(ENDPOINTS),
         nbytes=st.integers(1, 65536),
     )
-    def test_any_size(self, chiplets, detailed, src, dst, nbytes):
-        _check_pair(_params(chiplets, detailed), src, dst, nbytes)
+    def test_any_size(self, chiplets, src, dst, nbytes):
+        _check_pair(_params(chiplets), src, dst, nbytes)
 
     def test_routes_are_per_network_and_bounded_by_pairs(self):
         env = Environment()
-        network = Network(env, _params(6, False))
+        network = Network(env, _params(6))
         for nbytes in SIZES:
             for src in ENDPOINTS:
                 for dst in ENDPOINTS:
@@ -137,7 +125,7 @@ class TestRoutesMatchTheFormulas:
         assert sum(len(row) for row in network._routes.values()) == len(
             ENDPOINTS
         ) ** 2
-        other = Network(env, _params(6, False))
+        other = Network(env, _params(6))
         assert other.route(CPU_ENDPOINT, AcceleratorKind.TCP) is not network.route(
             CPU_ENDPOINT, AcceleratorKind.TCP
         )

@@ -62,19 +62,6 @@ def test_counts_track_per_kind_totals():
     assert stats["published"] == 3.0
 
 
-def test_tail_is_bounded_and_counts_drops():
-    bus = TelemetryBus()
-    tail = bus.tail(kinds=(RequestEnd,), maxlen=2)
-    bus.publish(Marker(t_ns=0.0, name="ignored-by-filter"))
-    for i in range(4):
-        bus.publish(_req(float(i)))
-    assert tail.dropped == 2
-    drained = tail.drain()
-    assert [e.t_ns for e in drained] == [2.0, 3.0]
-    assert len(tail) == 0
-    assert tail.drain() == []
-
-
 def test_unsubscribe_stops_delivery():
     bus = TelemetryBus()
     seen = []
@@ -144,5 +131,3 @@ def test_to_dict_is_json_friendly():
 def test_invalid_sizes_rejected():
     with pytest.raises(ValueError):
         TelemetryBus(capacity=0)
-    with pytest.raises(ValueError):
-        TelemetryBus().tail(maxlen=0)

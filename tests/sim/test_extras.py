@@ -1,9 +1,6 @@
-"""Tests for kernel extras: Store.remove, SlidingWindow, edge cases."""
-
-import pytest
+"""Tests for kernel extras: Store.remove, edge cases."""
 
 from repro.sim import Environment, Store
-from repro.sim.monitor import SlidingWindow
 
 
 class TestStoreRemove:
@@ -51,28 +48,6 @@ class TestStoreRemove:
         env.run()
         assert done == [5.0]
         assert list(store.items) == ["waiting"]
-
-
-class TestSlidingWindow:
-    def test_capacity_positive(self):
-        with pytest.raises(ValueError):
-            SlidingWindow(0)
-
-    def test_empty_mean_is_none(self):
-        assert SlidingWindow(3).mean() is None
-
-    def test_mean_over_window(self):
-        window = SlidingWindow(3)
-        for value in (1.0, 2.0, 3.0):
-            window.push(value)
-        assert window.mean() == pytest.approx(2.0)
-
-    def test_old_values_evicted(self):
-        window = SlidingWindow(2)
-        for value in (10.0, 1.0, 3.0):
-            window.push(value)
-        assert len(window) == 2
-        assert window.mean() == pytest.approx(2.0)
 
 
 class TestEnvironmentEdgeCases:

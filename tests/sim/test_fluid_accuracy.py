@@ -142,7 +142,7 @@ class TestSteadyStateProperty:
     )
     def test_mass_conservation(self, ops, servers):
         """arrived == completed + removed + residual under any sequence
-        of arrivals, integration steps, and materialization removals."""
+        of arrivals, integration steps, and removals (machine failures)."""
         queue = FluidQueue("q", service_time_ns=100.0, servers=servers)
         now = 0.0
         for op, value in ops:
@@ -214,7 +214,7 @@ def _run(seed, fluid, requests=110, machines=4, rate_rps=30000.0):
 
 
 HALF_FLUID = FluidConfig(
-    policy="static", fluid_machines=(2, 3), calibrate_requests=20
+    fluid_machines=(2, 3), calibrate_requests=20
 )
 
 
@@ -257,20 +257,13 @@ class TestDifferentialAccuracy:
         assert a.elapsed_ns == b.elapsed_ns
         assert a.fluid_stats == b.fluid_stats
 
-    def test_auto_policy_conserves_work(self):
-        fluid = FluidConfig(policy="auto", calibrate_requests=15)
-        result = _run(0, fluid)
-        assert result.merged_completed() + result.fluid_stats[
-            "residual_mass"
-        ] == pytest.approx(result.arrivals, abs=0.5)
-
 
 class TestFluidFractionZero:
     def test_zero_fluid_machines_is_byte_identical_to_pure_des(self):
         """FluidConfig with no fluid machines must not perturb the
         simulation at all: same samples, same timing, same counters."""
         exact = _run(3, None)
-        zero = _run(3, FluidConfig(policy="static", fluid_machines=()))
+        zero = _run(3, FluidConfig(fluid_machines=()))
 
         assert zero.recorder.samples == exact.recorder.samples
         assert zero.elapsed_ns == exact.elapsed_ns
@@ -286,7 +279,7 @@ class TestFluidFractionZero:
         assert zero_stats == exact_stats
         # And the tier itself reports it never touched anything.
         assert zero.fluid_stats["absorbed"] == 0.0
-        assert zero.fluid_stats["materialized"] == 0
+        assert zero.fluid_stats["tier_flips"] == 0
 
 
 @pytest.mark.slow
@@ -316,7 +309,6 @@ class TestFleetScaleSpeedup:
 
         exact, exact_wall = run(None)
         fluid_config = FluidConfig(
-            policy="static",
             fluid_machines=tuple(range(1, 10)),
             calibrate_requests=30,
             batched=True,

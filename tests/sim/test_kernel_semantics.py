@@ -19,7 +19,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Environment,
-    FilterStore,
     Interrupt,
     PriorityResource,
     PriorityStore,
@@ -422,40 +421,6 @@ class TestStoreCancelReinsert:
         assert events[0].value == "a"
         assert not events[1].triggered
         assert events[2].value == "b"
-
-
-# ---------------------------------------------------------------------------
-# Parity: FilterStore predicate scan order
-# ---------------------------------------------------------------------------
-
-class TestFilterStoreOrdering:
-    def test_blocked_head_does_not_starve_matching_waiter(self):
-        env = Environment()
-        store = FilterStore(env)
-        got = []
-
-        def pick(env, label, predicate):
-            item = yield store.get(predicate)
-            got.append((label, item))
-
-        env.process(pick(env, "wants-big", lambda x: x >= 10), name="big")
-        env.process(pick(env, "wants-small", lambda x: x < 10), name="small")
-
-        def producer(env):
-            yield store.put(3)  # matches the *second* waiter only
-            yield env.timeout(1.0)
-            yield store.put(50)
-
-        env.process(producer(env), name="prod")
-        env.run()
-        assert got == [("wants-small", 3), ("wants-big", 50)]
-
-    def test_unfiltered_get_is_fifo(self):
-        env = Environment()
-        store = FilterStore(env)
-        for v in (1, 2, 3):
-            store.try_put(v)
-        assert [store.try_get() for _ in range(3)] == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------

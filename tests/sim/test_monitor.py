@@ -3,9 +3,7 @@
 import pytest
 
 from repro.sim import (
-    Counter,
     LatencyRecorder,
-    SlidingWindow,
     TimeWeightedValue,
     percentile,
     summarize,
@@ -35,26 +33,6 @@ class TestPercentile:
     def test_p99_of_uniform(self):
         values = [float(i) for i in range(101)]
         assert percentile(values, 99.0) == 99.0
-
-
-class TestCounter:
-    def test_defaults_to_zero(self):
-        counter = Counter()
-        assert counter.get("missing") == 0
-        assert counter["missing"] == 0
-
-    def test_add_and_get(self):
-        counter = Counter()
-        counter.add("x")
-        counter.add("x", 4)
-        assert counter.get("x") == 5
-
-    def test_as_dict_is_copy(self):
-        counter = Counter()
-        counter.add("x")
-        d = counter.as_dict()
-        d["x"] = 100
-        assert counter.get("x") == 1
 
 
 class TestTimeWeightedValue:
@@ -151,29 +129,6 @@ class TestLatencyRecorderSortedCache:
         rec = LatencyRecorder()
         rec.record(7.0)
         assert rec.pct(0.0) == rec.pct(50.0) == rec.pct(100.0) == 7.0
-
-
-class TestSlidingWindow:
-    def test_push_and_mean(self):
-        window = SlidingWindow(capacity=3)
-        for v in [1.0, 2.0, 3.0]:
-            window.push(v)
-        assert window.mean() == 2.0
-        assert len(window) == 3
-
-    def test_capacity_evicts_oldest(self):
-        window = SlidingWindow(capacity=3)
-        for v in [1.0, 2.0, 3.0, 10.0]:
-            window.push(v)
-        assert len(window) == 3
-        assert window.mean() == 5.0  # 2, 3, 10
-
-    def test_empty_mean_is_none(self):
-        assert SlidingWindow(capacity=2).mean() is None
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            SlidingWindow(capacity=0)
 
 
 class TestTimeWeightedValueReset:

@@ -83,31 +83,7 @@ def test_bernoulli_rejects_bad_probability():
         stream.bernoulli(1.5)
 
 
-def test_pareto_positive_and_heavy_tailed():
-    stream = RandomStreams(seed=23).stream("par")
-    samples = [stream.pareto(shape=1.5, scale=10.0) for _ in range(5000)]
-    assert min(samples) >= 10.0
-    assert max(samples) > 100.0  # heavy tail reaches far out
-
-
-def test_pareto_rejects_bad_params():
-    stream = RandomStreams(seed=1).stream("par")
-    with pytest.raises(ValueError):
-        stream.pareto(0.0, 1.0)
-
-
-def test_uniform_and_randint_ranges():
+def test_randint_range():
     stream = RandomStreams(seed=29).stream("u")
     for _ in range(100):
-        assert 5.0 <= stream.uniform(5.0, 6.0) <= 6.0
         assert 1 <= stream.randint(1, 3) <= 3
-
-
-def test_choice_and_shuffle():
-    stream = RandomStreams(seed=31).stream("c")
-    options = ["a", "b", "c"]
-    assert stream.choice(options) in options
-    items = list(range(10))
-    shuffled = list(items)
-    stream.shuffle(shuffled)
-    assert sorted(shuffled) == items

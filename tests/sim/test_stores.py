@@ -1,8 +1,8 @@
-"""Unit tests for Store / PriorityStore / FilterStore."""
+"""Unit tests for Store / PriorityStore."""
 
 import pytest
 
-from repro.sim import Environment, FilterStore, PriorityItem, PriorityStore, Store
+from repro.sim import Environment, PriorityItem, PriorityStore, Store
 
 
 def test_capacity_must_be_positive():
@@ -137,62 +137,6 @@ def test_priority_item_ordering_and_equality():
     assert a < b
     assert a == PriorityItem(1, "x")
     assert "PriorityItem" in repr(a)
-
-
-def test_filter_store_matches_predicate():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def producer(env):
-        for item in (1, 2, 3, 4):
-            yield store.put(item)
-
-    def consumer(env):
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert got == [2, 4]
-    assert list(store.items) == [1, 3]
-
-
-def test_filter_store_blocks_until_match():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def consumer(env):
-        item = yield store.get(lambda x: x == "target")
-        got.append((env.now, item))
-
-    def producer(env):
-        yield store.put("noise")
-        yield env.timeout(2.0)
-        yield store.put("target")
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert got == [(2.0, "target")]
-
-
-def test_filter_store_plain_get():
-    env = Environment()
-    store = FilterStore(env)
-
-    def proc(env):
-        yield store.put("only")
-        item = yield store.get()
-        return item
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == "only"
 
 
 def test_store_backpressure_chain():

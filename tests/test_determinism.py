@@ -178,13 +178,12 @@ CLUSTER_CONFIGS = {
     "failures": dict(failures=(MachineFailure(at_ns=2e6, machine=1),)),
     "fluid-static": dict(
         fluid=FluidConfig(
-            policy="static", fluid_machines=(2,), calibrate_requests=15
+            fluid_machines=(2,), calibrate_requests=15
         ),
         machines=3,
     ),
     "fluid-batched": dict(
         fluid=FluidConfig(
-            policy="static",
             fluid_machines=(1, 2),
             calibrate_requests=10,
             batched=True,
@@ -245,7 +244,7 @@ class TestClusterDeterminism:
         gated = _run_cluster(
             5,
             machines=3,
-            fluid=FluidConfig(policy="static", fluid_machines=()),
+            fluid=FluidConfig(fluid_machines=()),
         )
         assert plain.recorder.samples == gated.recorder.samples
         assert plain.elapsed_ns == gated.elapsed_ns

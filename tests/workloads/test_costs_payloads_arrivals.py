@@ -29,7 +29,6 @@ from repro.workloads import (
     serverless_functions,
     social_network_services,
     train_ticket_services,
-    usuite_services,
 )
 
 K = AcceleratorKind
@@ -119,7 +118,6 @@ SUITE_SERVICES = [
         hotel_reservation_services,
         media_services,
         train_ticket_services,
-        usuite_services,
         serverless_functions,
     )
     for spec in suite()

@@ -49,29 +49,3 @@ class TestBranchStatistics:
         for suite, share in result["shares"].items():
             paper = char_branches.PAPER_CONDITIONAL_SHARE[suite]
             assert abs(share - paper) < 0.25, (suite, share, paper)
-
-
-class TestUSuite:
-    def test_four_benchmarks(self):
-        from repro.workloads import usuite_services
-
-        services = usuite_services()
-        assert len(services) == 4
-        names = {s.name for s in services}
-        assert "HDSearch" in names and "Router" in names
-
-    def test_specs_consistent_and_runnable(self):
-        from repro.server import run_unloaded
-        from repro.workloads import usuite_services
-
-        model = CostModel(REGISTRY)
-        for spec in usuite_services():
-            model.validate(spec)
-        result = run_unloaded("accelflow", usuite_services()[1], requests=4)
-        assert result.completed == 4
-
-    def test_leaf_services_are_short(self):
-        from repro.workloads import usuite_services
-
-        for spec in usuite_services():
-            assert spec.total_time_ns <= 1.2e6  # mid-tier/leaf: <= 1.2 ms
