@@ -23,12 +23,16 @@ four workloads that together cover the kernel's hot paths:
                           rounds, exact DES vs a 90%-fluid tier
                           (`repro.cluster.fluid`); reports the wall
                           clock speedup the fluid approximation buys.
-* ``placement_overhead`` — interleaved A/B of one dedicated StoreP run
-                          with no placement config vs the forced
-                          pass-through placement fabric (everything
-                          on-package); reports the fabric layer's pure
-                          indirection cost on the DMA hot path, which
-                          must stay marginal (<2%).
+* ``placement_overhead`` — A/B of one dedicated StoreP server with no
+                          placement config vs the forced pass-through
+                          placement fabric (everything on-package);
+                          reports the fabric layer's pure indirection
+                          cost on the DMA hot path, which must stay
+                          marginal (<2%). The two servers take turns in
+                          short slices of simulated time and the case
+                          reports the median over rounds of the wall
+                          ratio, as the health case does; it is not
+                          gated.
 * ``health_plane_overhead`` — A/B of one fleet with no health plane
                           vs an installed-but-idle monitor (thresholds
                           nothing crosses, prober on); the delta is
@@ -352,25 +356,83 @@ def run_fluid_case(repeat, quick):
     }
 
 
+def take_turns(plain, other, finished, horizon_ns, slice_ns):
+    """Advance two environments in alternating slices of ``slice_ns``
+    simulated time until ``finished()``; returns each one's summed wall
+    time and the slice count.
+
+    The first turn alternates, so a slow spell of a shared host lands
+    on both arms alike instead of on whichever whole run it hit.
+    """
+    envs = (plain, other)
+    walls = [0.0, 0.0]
+    until, slices = 0.0, 0
+    while not finished():
+        if until > horizon_ns:
+            raise RuntimeError("the A/B arms did not finish")
+        until += slice_ns
+        for arm in (0, 1) if slices % 2 == 0 else (1, 0):
+            start = perf_counter()
+            envs[arm].run_wall_slice(until)
+            walls[arm] += perf_counter() - start
+        slices += 1
+    return walls[0], walls[1], slices
+
+
+def median_of_rounds(run_round, rounds, arm):
+    """Median over rounds of the ``arm`` side's wall over the plain
+    side's, after one discarded warm-up round; the median ignores the
+    round that a burst of host noise still splits."""
+    run_round()
+    plain_walls, arm_walls, ratios = [], [], []
+    completed = slices = 0
+    for _ in range(rounds):
+        completed, plain, other, slices = run_round()
+        plain_walls.append(plain)
+        arm_walls.append(other)
+        ratios.append(other / plain)
+    return {
+        "requests": completed,
+        "plain_wall_s_median": statistics.median(plain_walls),
+        f"{arm}_wall_s_median": statistics.median(arm_walls),
+        "round_ratios": ratios,
+        "overhead_fraction": statistics.median(ratios) - 1.0,
+        "rounds": rounds,
+        "slices": slices,
+    }
+
+
+#: Simulated time each arm of the placement A/B advances per turn: half
+#: an arrival gap at 2,000 RPS.
+PLACEMENT_SLICE_NS = 250e3
+
+
 def bench_placement_overhead(quick: bool):
-    """Interleaved A/B: the same dedicated StoreP run with no placement
-    config vs the forced pass-through fabric (everything on-package,
-    ``force_fabric=True``). Same seed -> identical event schedules; the
-    wall-clock delta is the fabric's pure indirection cost on the DMA
-    hot path, which the byte-identity contract says is all it may add."""
+    """Two copies of one dedicated StoreP server, with no placement
+    config and with the forced pass-through fabric (everything
+    on-package, ``force_fabric=True``). Same seed -> identical event
+    schedules; the wall-clock delta is the fabric's pure indirection
+    cost on the DMA hot path, which the byte-identity contract says is
+    all it may add.
+
+    Returns ``run_round()``: it builds both servers, starts on each the
+    arrival source ``drive`` would start, and advances them in
+    alternating slices of ``PLACEMENT_SLICE_NS`` simulated time until
+    both have finished every request. It returns the completed count,
+    each arm's summed wall time and the slice count."""
     from repro.experiments.common import pick_service
     from repro.hw import MachineParams
-    from repro.server.driver import RunConfig, run_dedicated_service
+    from repro.server.driver import RunConfig, _source, make_server
     from repro.workloads import social_network_services
 
     spec = pick_service(social_network_services(), "StoreP")
     requests = 200 if quick else 500
 
-    def run(forced: bool):
+    def config_for(forced: bool):
         params = MachineParams()
         if forced:
             params = params.with_placement("on_package", force_fabric=True)
-        config = RunConfig(
+        return RunConfig(
             "accelflow",
             requests_per_service=requests,
             seed=0,
@@ -379,37 +441,42 @@ def bench_placement_overhead(quick: bool):
             machine_params=params,
             warmup_fraction=0.0,
         )
-        start = perf_counter()
-        cell = run_dedicated_service(spec, config)
-        elapsed = perf_counter() - start
-        return cell["service"].completed, elapsed
 
-    return run
+    def build(forced: bool):
+        config = config_for(forced)
+        server = make_server(config)
+        sink = []
+        server.env.process(
+            _source(server, spec, config, sink), name=f"src-{spec.name}"
+        )
+        return server, sink
+
+    def completed(sink) -> int:
+        return sum(1 for request, _ in sink if request.completed)
+
+    def run_round():
+        gc.collect()
+        arms = [build(False), build(True)]
+        plain, fabric = (server.env for server, _ in arms)
+        walls = take_turns(
+            plain,
+            fabric,
+            lambda: all(completed(sink) == requests for _, sink in arms),
+            config_for(False).horizon_ns([spec]),
+            PLACEMENT_SLICE_NS,
+        )
+        if plain.scheduled_events != fabric.scheduled_events:
+            raise RuntimeError("the forced fabric changed the run")
+        return (requests, *walls)
+
+    return run_round
 
 
-def run_placement_case(repeat, quick):
-    run = bench_placement_overhead(quick=quick)
-    # One discarded round per arm: the first run pays module imports
-    # and allocator warm-up, which would skew whichever arm goes first.
-    run(forced=False)
-    run(forced=True)
-    plain_walls, fabric_walls = [], []
-    completed = 0
-    for _ in range(repeat):
-        completed, elapsed = run(forced=False)
-        plain_walls.append(elapsed)
-        _, elapsed = run(forced=True)
-        fabric_walls.append(elapsed)
-    best_plain, best_fabric = min(plain_walls), min(fabric_walls)
-    return {
-        "requests": completed,
-        "plain_wall_s_best": best_plain,
-        "fabric_wall_s_best": best_fabric,
-        "overhead_fraction": (
-            (best_fabric - best_plain) / best_plain if best_plain else 0.0
-        ),
-        "repeats": repeat,
-    }
+def run_placement_case(rounds, quick):
+    """Median over rounds of the fabric arm's wall over the plain arm's."""
+    return median_of_rounds(
+        bench_placement_overhead(quick=quick), rounds, "fabric"
+    )
 
 
 #: Simulated time each arm of the health A/B advances per turn: about
@@ -470,52 +537,24 @@ def bench_health_overhead(quick: bool):
 
     def run_round():
         gc.collect()
-        arms = {False: build(False), True: build(True)}
-        horizon_ns = arms[False].config.horizon_ns(services)
-        walls = {False: 0.0, True: 0.0}
-        until, slices = 0.0, 0
-        while not all(finished(cluster) for cluster in arms.values()):
-            if until > horizon_ns:
-                raise RuntimeError("the health A/B fleets did not finish")
-            until += HEALTH_SLICE_NS
-            for health in (False, True) if slices % 2 == 0 else (True, False):
-                start = perf_counter()
-                arms[health].env.run_wall_slice(until)
-                walls[health] += perf_counter() - start
-            slices += 1
-        if arms[False].completed != arms[True].completed:
+        plain, health = build(False), build(True)
+        walls = take_turns(
+            plain.env,
+            health.env,
+            lambda: finished(plain) and finished(health),
+            plain.config.horizon_ns(services),
+            HEALTH_SLICE_NS,
+        )
+        if plain.completed != health.completed:
             raise RuntimeError("the idle health plane changed the run")
-        return arms[False].completed, walls[False], walls[True], slices
+        return (plain.completed, *walls)
 
     return run_round
 
 
 def run_health_case(rounds, quick):
-    """Median over rounds of the health arm's wall over the plain arm's.
-
-    The two arms take turns every ``HEALTH_SLICE_NS`` of simulated
-    time, the first turn alternating, so a slow spell of a shared host
-    lands on both arms alike instead of on whichever whole run it hit;
-    the median then ignores the round that a burst still splits.
-    """
-    run_round = bench_health_overhead(quick=quick)
-    run_round()  # discard a warm-up round
-    plain_walls, health_walls, ratios = [], [], []
-    completed = slices = 0
-    for _ in range(rounds):
-        completed, plain, health, slices = run_round()
-        plain_walls.append(plain)
-        health_walls.append(health)
-        ratios.append(health / plain)
-    return {
-        "requests": completed,
-        "plain_wall_s_median": statistics.median(plain_walls),
-        "health_wall_s_median": statistics.median(health_walls),
-        "round_ratios": ratios,
-        "overhead_fraction": statistics.median(ratios) - 1.0,
-        "rounds": rounds,
-        "slices": slices,
-    }
+    """Median over rounds of the health arm's wall over the plain arm's."""
+    return median_of_rounds(bench_health_overhead(quick=quick), rounds, "health")
 
 
 def main(argv=None) -> int:
@@ -590,13 +629,14 @@ def main(argv=None) -> int:
 
     if not args.skip_placement:
         results["placement_overhead"] = run_placement_case(
-            repeat + 2, args.quick)
+            2 * repeat + 3, args.quick)
         r = results["placement_overhead"]
         print(f"  {'placement_overhead':<18} "
               f"{r['overhead_fraction']:>+11.1%} overhead "
-              f"({r['plain_wall_s_best'] * 1e3:.0f} ms plain vs "
-              f"{r['fabric_wall_s_best'] * 1e3:.0f} ms forced fabric)",
-              flush=True)
+              f"(median of {r['rounds']} rounds of {r['slices']} "
+              f"alternating slices; {r['plain_wall_s_median'] * 1e3:.0f} ms "
+              f"plain vs {r['fabric_wall_s_median'] * 1e3:.0f} ms forced "
+              f"fabric)", flush=True)
 
     health_gate_failed = False
     if not args.skip_health:

@@ -28,17 +28,7 @@ Quick start::
     print(request.latency_ns)
 """
 
-from .core import Trace, TraceRegistry, branch, notify, parallel, seq, trans
-from .hw import AcceleratorKind, MachineParams
-from .orchestration import ARCHITECTURES, make_orchestrator
-from .server import (
-    RunConfig,
-    SimulatedServer,
-    max_throughput_search,
-    run_experiment,
-    run_unloaded,
-)
-from .workloads import ServiceSpec, social_network_services
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -63,3 +53,19 @@ __all__ = [
     "trans",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": (
+        "Trace", "TraceRegistry", "branch", "notify", "parallel", "seq", "trans",
+    ),
+    ".hw": ("AcceleratorKind", "MachineParams"),
+    ".orchestration": ("ARCHITECTURES", "make_orchestrator"),
+    ".server": (
+        "RunConfig",
+        "SimulatedServer",
+        "max_throughput_search",
+        "run_experiment",
+        "run_unloaded",
+    ),
+    ".workloads": ("ServiceSpec", "social_network_services"),
+})

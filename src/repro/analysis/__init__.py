@@ -1,8 +1,6 @@
 """Result presentation: ASCII charts and the paper-vs-measured report."""
 
-from .ascii_chart import bar_chart, series_chart
-from .compare import Candidate, ComparisonResult, compare_configs
-from .report import generate_report
+from .._lazy import lazy_exports
 
 __all__ = [
     "Candidate",
@@ -12,3 +10,9 @@ __all__ = [
     "generate_report",
     "series_chart",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".ascii_chart": ("bar_chart", "series_chart"),
+    ".compare": ("Candidate", "ComparisonResult", "compare_configs"),
+    ".report": ("generate_report",),
+})

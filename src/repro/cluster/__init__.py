@@ -11,27 +11,7 @@ machines' load analytically. See ``docs/tutorial.md`` ("Cluster
 simulation") and the ``fig_cluster`` experiment.
 """
 
-from .admission import (
-    PROPORTIONAL,
-    AdmissionConfig,
-    AdmissionController,
-    AdmissionDecision,
-)
-from .balancer import (
-    BALANCER_POLICIES,
-    POLICY_ORDER,
-    AcceleratorAwareBalancer,
-    LeastOutstandingBalancer,
-    LoadBalancer,
-    PowerOfTwoBalancer,
-    RoundRobinBalancer,
-    make_balancer,
-)
-from .cluster import MachineFailure, RequestStatus, SimulatedCluster
-from .driver import ClusterConfig, ClusterResult, fold_cluster_result, run_cluster
-from .fluid import FLUID_TOLERANCES, FluidConfig, FluidTier
-from .health import HealthConfig, HealthMonitor, HealthState, MachineHealth
-from .machine import ClusterMachine, MachineState
+from .._lazy import lazy_exports
 
 __all__ = [
     "PROPORTIONAL",
@@ -63,3 +43,24 @@ __all__ = [
     "make_balancer",
     "run_cluster",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".admission": (
+        "PROPORTIONAL", "AdmissionConfig", "AdmissionController", "AdmissionDecision",
+    ),
+    ".balancer": (
+        "BALANCER_POLICIES",
+        "POLICY_ORDER",
+        "AcceleratorAwareBalancer",
+        "LeastOutstandingBalancer",
+        "LoadBalancer",
+        "PowerOfTwoBalancer",
+        "RoundRobinBalancer",
+        "make_balancer",
+    ),
+    ".cluster": ("MachineFailure", "RequestStatus", "SimulatedCluster"),
+    ".driver": ("ClusterConfig", "ClusterResult", "fold_cluster_result", "run_cluster"),
+    ".fluid": ("FLUID_TOLERANCES", "FluidConfig", "FluidTier"),
+    ".health": ("HealthConfig", "HealthMonitor", "HealthState", "MachineHealth"),
+    ".machine": ("ClusterMachine", "MachineState"),
+})

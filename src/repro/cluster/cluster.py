@@ -22,9 +22,8 @@ everything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..obs import MetricsRegistry
 from ..obs.telemetry import AdmissionEvent, FaultInjected, Marker, RequestEnd
 from ..server.machine import SimulatedServer
 from ..sim import Environment, Interrupt, Process, RandomStreams, derive_seed
@@ -32,9 +31,11 @@ from ..workloads.request import Request, RequestSampler
 from ..workloads.spec import ServiceSpec
 from .admission import AdmissionController, AdmissionDecision
 from .balancer import make_balancer
-from .fluid import FluidTier
 from .health import HealthMonitor
 from .machine import ClusterMachine, MachineState
+
+if TYPE_CHECKING:  # pragma: no cover - metrics and the fluid tier load on use
+    from ..obs.metrics import MetricsRegistry
 
 __all__ = ["MachineFailure", "SimulatedCluster", "RequestStatus"]
 
@@ -78,9 +79,11 @@ class SimulatedCluster:
         #: The fluid-approximation tier, when configured (its CRN
         #: streams are dedicated, so enabling it never perturbs the
         #: draws of the exact simulation).
-        self.fluid = (
-            FluidTier(self, config.fluid) if config.fluid is not None else None
-        )
+        self.fluid = None
+        if config.fluid is not None:
+            from .fluid import FluidTier
+
+            self.fluid = FluidTier(self, config.fluid)
         #: Machine health scoring + lame-duck ejection (RNG-free, so
         #: installing it keeps the run CRN-aligned with a bare fleet).
         self.health = (

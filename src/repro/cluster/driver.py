@@ -13,7 +13,7 @@ stats) and a cluster-wide latency distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..hw.params import MachineParams
 from ..server.driver import OpenLoopConfig
@@ -23,8 +23,10 @@ from ..workloads.arrivals import make_arrivals
 from ..workloads.spec import ServiceSpec
 from .admission import AdmissionConfig
 from .cluster import MachineFailure, RequestStatus, SimulatedCluster
-from .fluid import FluidConfig
 from .health import HealthConfig
+
+if TYPE_CHECKING:  # pragma: no cover - the fluid tier loads when configured
+    from .fluid import FluidConfig
 
 __all__ = [
     "ClusterConfig",

@@ -33,7 +33,6 @@ work descriptions and only the merge step is centralized.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -236,6 +235,8 @@ class ShardExecutor:
     # -- pool lifecycle ----------------------------------------------------
     def _ensure_pool(self):
         if self._pool is None:
+            import multiprocessing
+
             methods = multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context(
                 "fork" if "fork" in methods else None

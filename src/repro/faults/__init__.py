@@ -21,9 +21,7 @@ random numbers or change any code path, so all experiment outputs stay
 byte-identical to the fault-free simulator.
 """
 
-from .config import FaultConfig
-from .plane import FaultPlane
-from .recovery import CircuitBreaker, RecoveryPolicy, RetryBudget
+from .._lazy import lazy_exports
 
 __all__ = [
     "CircuitBreaker",
@@ -32,3 +30,9 @@ __all__ = [
     "RecoveryPolicy",
     "RetryBudget",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("FaultConfig",),
+    ".plane": ("FaultPlane",),
+    ".recovery": ("CircuitBreaker", "RecoveryPolicy", "RetryBudget"),
+})

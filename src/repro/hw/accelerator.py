@@ -288,7 +288,13 @@ class Accelerator:
         Called by whoever plays the output-dispatcher role once the
         entry's results have been moved onward. Frees the slot, letting
         a PE blocked on a full output queue deposit its result.
+
+        Every path retires its entry here, after its ``done`` has fired.
+        Dropping the entry's reference to that event breaks the
+        entry -> done -> value -> entry cycle, so reference counting
+        frees the entry instead of the cyclic collector.
         """
+        entry.done = None
         return self.output_queue.remove(entry)
 
     # -- statistics -------------------------------------------------------------

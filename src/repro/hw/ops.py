@@ -93,8 +93,9 @@ class QueueEntry:
         self.enqueue_time = env.now
         self.dispatch_time: Optional[float] = None
         self.complete_time: Optional[float] = None
-        #: Triggered (with this entry) when the PE has deposited its output.
-        self.done: Event = env.event()
+        #: Triggered (with this entry) when the PE has deposited its
+        #: output; None once the entry is retired from the output queue.
+        self.done: Optional[Event] = env.event()
         #: Free-form carrier for orchestrator state (trace position etc.).
         self.context = context if context is not None else {}
         self.from_overflow = False

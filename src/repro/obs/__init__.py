@@ -36,37 +36,7 @@ Disabled observability costs a single ``is not None`` attribute check
 at each instrumentation point.
 """
 
-from .config import ObsConfig, ObsSession
-from .export import chrome_trace, trace_from_spans, write_chrome_trace
-from .metrics import MetricsRegistry, TimeSeries
-from .profiling import format_profile
-from .recorder import FlightRecorder
-from .slo import Alert, AlertState, SLOMonitor, SLOMonitorConfig, SLOTarget
-from .span import Span, SpanTracer
-from .telemetry import (
-    AdmissionEvent,
-    AlertFired,
-    FaultInjected,
-    Marker,
-    MetricSample,
-    RecoveryEvent,
-    RequestEnd,
-    SpanEnd,
-    TelemetryBus,
-    TelemetryEvent,
-)
-from .timeline import render_timeline
-
-
-def __getattr__(name):
-    # Lazy so `python -m repro.obs.dashboard` does not import the module
-    # twice (once via the package, once as __main__ — runpy warns).
-    if name == "Dashboard":
-        from .dashboard import Dashboard
-
-        return Dashboard
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from .._lazy import lazy_exports
 
 __all__ = [
     "AdmissionEvent",
@@ -98,3 +68,29 @@ __all__ = [
     "trace_from_spans",
     "write_chrome_trace",
 ]
+
+# Lazy, so `python -m repro.obs.dashboard` does not import the dashboard
+# twice (once through the package, once as __main__; runpy warns).
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("ObsConfig", "ObsSession"),
+    ".dashboard": ("Dashboard",),
+    ".export": ("chrome_trace", "trace_from_spans", "write_chrome_trace"),
+    ".metrics": ("MetricsRegistry", "TimeSeries"),
+    ".profiling": ("format_profile",),
+    ".recorder": ("FlightRecorder",),
+    ".slo": ("Alert", "AlertState", "SLOMonitor", "SLOMonitorConfig", "SLOTarget"),
+    ".span": ("Span", "SpanTracer"),
+    ".telemetry": (
+        "AdmissionEvent",
+        "AlertFired",
+        "FaultInjected",
+        "Marker",
+        "MetricSample",
+        "RecoveryEvent",
+        "RequestEnd",
+        "SpanEnd",
+        "TelemetryBus",
+        "TelemetryEvent",
+    ),
+    ".timeline": ("render_timeline",),
+})

@@ -29,13 +29,14 @@ byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .metrics import MetricsRegistry
-from .recorder import FlightRecorder
-from .slo import SLOMonitor, SLOMonitorConfig
-from .span import SpanTracer
-from .telemetry import TelemetryBus
+if TYPE_CHECKING:  # pragma: no cover - each plane loads when switched on
+    from .metrics import MetricsRegistry
+    from .recorder import FlightRecorder
+    from .slo import SLOMonitor, SLOMonitorConfig
+    from .span import SpanTracer
+    from .telemetry import TelemetryBus
 
 __all__ = ["ObsConfig", "ObsSession"]
 
@@ -104,18 +105,20 @@ class ObsConfig:
         """
         if self.profile_kernel:
             env.enable_profiling()
-        tracer = (
-            SpanTracer(env, sample_rate=self.sample_rate, max_spans=self.max_spans)
-            if self.trace
-            else None
-        )
-        registry = (
-            MetricsRegistry(env, interval_ns=self.metrics_interval_ns)
-            if self.metrics
-            else None
-        )
-        bus = slo_monitor = recorder = None
+        tracer = registry = bus = slo_monitor = recorder = None
+        if self.trace:
+            from .span import SpanTracer
+
+            tracer = SpanTracer(
+                env, sample_rate=self.sample_rate, max_spans=self.max_spans
+            )
+        if self.metrics:
+            from .metrics import MetricsRegistry
+
+            registry = MetricsRegistry(env, interval_ns=self.metrics_interval_ns)
         if self.trace or self.telemetry_enabled:
+            from .telemetry import TelemetryBus
+
             bus = TelemetryBus(env)
         if tracer is not None:
             tracer.attach(bus)
@@ -125,8 +128,12 @@ class ObsConfig:
             if registry is not None:
                 registry.bus = bus
             if self.flight_recorder:
+                from .recorder import FlightRecorder
+
                 recorder = FlightRecorder(bus)
             if self.slo is not None:
+                from .slo import SLOMonitor
+
                 slo_monitor = SLOMonitor(bus, self.slo)
         session = ObsSession(
             env=env,

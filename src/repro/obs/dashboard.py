@@ -27,6 +27,7 @@ from collections import deque
 from dataclasses import replace
 from typing import Deque, Dict, List, Optional, Tuple
 
+from ..analysis.ascii_chart import sparkline
 from .telemetry import (
     AdmissionEvent,
     AlertFired,
@@ -165,10 +166,6 @@ class Dashboard:
     # -- rendering ---------------------------------------------------------
     def snapshot(self, width: int = 78) -> str:
         """The whole dashboard as one plain-ASCII block."""
-        # Lazy: the analysis package reaches the experiment harness,
-        # which imports the server layer, which imports obs.
-        from ..analysis.ascii_chart import sparkline
-
         spark_width = max(width - 18, 16)
         title = f"= fleet telemetry @ {self.now_ns * 1e-6:,.2f} ms sim "
         lines = [title + "=" * max(width - len(title), 0)]
@@ -264,8 +261,7 @@ def run_demo_server(
     flight recorder, for programmatic use; in ``live`` mode the
     dashboard additionally redraws on ``stream`` as sim time advances.
     """
-    # Imported lazily: the experiments package pulls in the entire
-    # harness, which this module must not load at import time.
+    # Only the demos need the fault scenarios and the server layer.
     from ..experiments.fig_faults import DRAIN_NS, SCENARIOS, SLO_MULTIPLIER
     from ..server.driver import RunConfig, calibrate_slo, drive, make_server
     from ..workloads import social_network_services

@@ -114,6 +114,11 @@ class Orchestrator:
                 env, fault_plane.config,
                 streams.stream(f"faults/recovery/{self.name}"),
             )
+            #: Name prefix of each recovered attempt's process, per kind:
+            #: "step-<kind>-<rid>" groups per kind in the kernel profile.
+            self._attempt_prefix = {
+                kind: f"step-{kind.value}-" for kind in AcceleratorKind
+            }
         self.fallbacks = 0
         self.tcp_timeouts = 0
         #: Requests that lost at least one remote response but recovered
@@ -528,13 +533,11 @@ class Orchestrator:
         recovery = self.recovery
         config = recovery.config
         attempts = 0
+        name = f"{self._attempt_prefix[step.kind]}{request.rid}"
         while True:
             attempt_start = env.now
             box: Dict[str, object] = {}
-            attempt = env.process(
-                self._raced_attempt(request, step, box),
-                name=f"step-{request.rid}-{step.kind.value}",
-            )
+            attempt = env.process(self._raced_attempt(request, step, box), name=name)
             watchdog = env.timeout(config.watchdog_timeout_ns)
             try:
                 yield env.any_of([attempt, watchdog])

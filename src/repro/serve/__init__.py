@@ -23,8 +23,7 @@ to* while it runs:
 See ``docs/serving.md`` for the architecture walkthrough.
 """
 
-from .clock import SimClock
-from .facade import Response, ServiceFacade, build_scorecard
+from .._lazy import lazy_exports
 
 # The replay/soak drivers are runnable modules (python -m ...); import
 # them explicitly (repro.serve.replay / repro.serve.soak) rather than
@@ -36,3 +35,8 @@ __all__ = [
     "SimClock",
     "build_scorecard",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".clock": ("SimClock",),
+    ".facade": ("Response", "ServiceFacade", "build_scorecard"),
+})

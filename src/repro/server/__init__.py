@@ -1,17 +1,6 @@
 """Server assembly, experiment driver and metrics."""
 
-from .driver import (
-    RunConfig,
-    combine_dedicated,
-    max_throughput_search,
-    run_dedicated_service,
-    run_experiment,
-    run_unloaded,
-    saturation_throughput,
-)
-from .machine import SimulatedServer
-from .metrics import ExperimentResult, ServiceResult, energy_summary
-from ..workloads.request import Buckets, Request
+from .._lazy import lazy_exports
 
 __all__ = [
     "Buckets",
@@ -28,3 +17,18 @@ __all__ = [
     "saturation_throughput",
     "run_unloaded",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".driver": (
+        "RunConfig",
+        "combine_dedicated",
+        "max_throughput_search",
+        "run_dedicated_service",
+        "run_experiment",
+        "run_unloaded",
+        "saturation_throughput",
+    ),
+    ".machine": ("SimulatedServer",),
+    ".metrics": ("ExperimentResult", "ServiceResult", "energy_summary"),
+    "..workloads.request": ("Buckets", "Request"),
+})

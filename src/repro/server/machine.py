@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..core.registry import TraceRegistry
-from ..faults import FaultConfig, FaultPlane
 from ..hw.accelerator import QueuePolicy
 from ..hw.ensemble import ServerHardware
 from ..hw.params import MachineParams
-from ..obs import MetricsRegistry, ObsConfig, SpanTracer
 from ..orchestration import make_orchestrator
 from ..sim import Environment, RandomStreams
 from ..workloads.calibration import (
@@ -20,6 +18,13 @@ from ..workloads.calibration import (
 from ..workloads.costs import CostModel
 from ..workloads.spec import ServiceSpec
 from ..workloads.request import Request, RequestSampler
+
+if TYPE_CHECKING:  # pragma: no cover - the optional planes load on use
+    from ..faults.config import FaultConfig
+    from ..faults.plane import FaultPlane
+    from ..obs.config import ObsConfig
+    from ..obs.metrics import MetricsRegistry
+    from ..obs.span import SpanTracer
 
 __all__ = ["SimulatedServer"]
 
@@ -72,6 +77,8 @@ class SimulatedServer:
         #: path and RNG draw matches the fault-free simulator exactly.
         self.fault_plane: Optional[FaultPlane] = None
         if faults is not None and faults.enabled:
+            from ..faults.plane import FaultPlane
+
             self.fault_plane = FaultPlane(self.env, faults, self.streams)
             self.fault_plane.bus = self.bus
             self.fault_plane.attach(self.hardware)

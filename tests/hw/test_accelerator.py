@@ -1,5 +1,6 @@
 """Unit tests for the accelerator model (queues, dispatcher, PEs)."""
 
+import gc
 
 import pytest
 
@@ -14,7 +15,9 @@ from repro.hw import (
     TlbModel,
 )
 from repro.hw.params import AcceleratorParams, TlbParams
+from repro.server import SimulatedServer
 from repro.sim import Environment, RandomStreams
+from repro.workloads import social_network_services
 
 
 def make_accel(
@@ -88,6 +91,30 @@ class TestQueueEntry:
             _ = entry.queue_wait_ns
         with pytest.raises(ValueError):
             _ = entry.service_ns
+
+    def test_retired_entries_leave_no_cyclic_garbage(self):
+        """consume_output drops each entry's completion event, so the
+        entry -> done -> value -> entry cycle never forms: a fault-free
+        AccelFlow run leaves no QueueEntry for the cyclic collector."""
+        spec = next(s for s in social_network_services() if s.name == "CPost")
+        gc.collect()
+        gc.disable()
+        flags = gc.get_debug()
+        try:
+            server = SimulatedServer("accelflow", seed=0)
+            env = server.env
+            done = [server.submit(server.make_request(spec)) for _ in range(8)]
+            env.run(until=env.all_of(done))
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [o for o in gc.garbage if isinstance(o, QueueEntry)]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            gc.enable()
+        instances = server.hardware.instances.values()
+        assert sum(a.ops_completed for accels in instances for a in accels) > 0
+        assert leaked == []
 
 
 class TestAcceleratorExecution:

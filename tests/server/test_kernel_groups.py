@@ -10,6 +10,8 @@ events per process group) for CPost with 12 Poisson requests at seed 3.
 
 import pytest
 
+from repro.faults import FaultConfig
+from repro.hw import AcceleratorKind
 from repro.obs import ObsConfig
 from repro.server.driver import RunConfig, run_dedicated_service
 from repro.workloads import social_network_services
@@ -66,3 +68,23 @@ def test_process_groups_and_event_counts_are_pinned(architecture):
     assert (
         result.completed, env.scheduled_events, env.profile.events, groups
     ) == PINS[architecture]
+
+
+def test_recovered_attempts_group_per_accelerator_kind():
+    """Each recovered attempt runs as ``step-<kind>-<rid>``, so the
+    profile holds one ``step-*`` group per kind, not one per attempt."""
+    spec = next(s for s in social_network_services() if s.name == "CPost")
+    obs = ObsConfig(profile_kernel=True)
+    config = RunConfig(
+        "accelflow",
+        requests_per_service=12,
+        seed=3,
+        arrival_mode="poisson",
+        obs=obs,
+        faults=FaultConfig(pe_transient_rate=0.05),
+    )
+    run_dedicated_service(spec, config)
+    groups = obs.sessions[-1].env.profile.by_process
+    steps = sorted(name for name in groups if name.startswith("step-"))
+    assert steps
+    assert set(steps) <= {f"step-{kind.value}" for kind in AcceleratorKind}
