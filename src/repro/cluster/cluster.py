@@ -39,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - metrics and the fluid tier load on use
 
 __all__ = ["MachineFailure", "SimulatedCluster", "RequestStatus"]
 
+#: Reroute attempts after machine failures before a request is lost.
+MAX_REROUTES = 2
+
 
 @dataclass(frozen=True)
 class MachineFailure:
@@ -316,7 +319,7 @@ class SimulatedCluster:
                 # attempt (bounded) to whoever is still standing.
                 attempts += 1
                 self.rerouted += 1
-                if attempts > self.config.max_reroutes:
+                if attempts > MAX_REROUTES:
                     return self._give_up(request, front_rid)
                 request = self._clone_for_retry(request)
                 continue

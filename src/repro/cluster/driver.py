@@ -45,8 +45,7 @@ class ClusterConfig(OpenLoopConfig):
     The open-loop fields come from
     :class:`~repro.server.driver.OpenLoopConfig`. Here ``faults`` gives
     every fleet member its own seeded :class:`~repro.faults.FaultPlane`,
-    ``obs`` observes the fleet (gauges, control-plane spans), and
-    ``arrival_mode`` also accepts "mmpp" (the ``mmpp_*`` shape below).
+    and ``obs`` observes the fleet (gauges, control-plane spans).
     """
 
     architecture: str = "accelflow"
@@ -55,16 +54,9 @@ class ClusterConfig(OpenLoopConfig):
     policy: str = "round-robin"
     #: Initial fleet size.
     machines: int = 2
-    #: Burst shape for ``arrival_mode="mmpp"`` — defaults chosen so a
-    #: few hundred requests span several regime dwells.
-    mmpp_burst_factor: float = 6.0
-    mmpp_burst_share: float = 0.15
-    mmpp_dwell_ns: float = 2e6
     #: Processor-generation cycle for a heterogeneous fleet (machine i
     #: gets ``generations[i % len]``); empty = homogeneous fleet.
     generations: Tuple[str, ...] = ()
-    #: Reroute attempts after machine failures before giving up.
-    max_reroutes: int = 2
     admission: Optional[AdmissionConfig] = None
     failures: Tuple[MachineFailure, ...] = ()
     #: Fluid-approximation tier (None = every request simulates
@@ -184,9 +176,6 @@ def _source(cluster: SimulatedCluster, spec: ServiceSpec,
         config.arrival_mode,
         config.offered_rps(spec),
         cluster.streams.stream(f"arrivals/{spec.name}"),
-        burst_factor=config.mmpp_burst_factor,
-        burst_share=config.mmpp_burst_share,
-        mean_dwell_ns=config.mmpp_dwell_ns,
     )
     for _ in range(config.requests_per_service):
         yield cluster.env.timeout(arrivals.next_gap_ns())

@@ -24,7 +24,7 @@ Approximations (documented; the validation harness
 ``tests/sim/test_fluid_accuracy.py`` bounds their effect):
 
 * A fluid machine is one M/M/k queue per service with
-  ``effective_servers`` shared servers; cross-service contention on a
+  :data:`MMK_SERVERS` shared servers; cross-service contention on a
   machine is not modelled.
 * Fluid mass bypasses per-request admission and balancer policy
   detail (batched arrivals split by machine count).
@@ -51,6 +51,11 @@ FLUID_TOLERANCES = {
     "utilization": 0.25,
 }
 
+#: Servers of the per-(machine, service) M/M/k model. Matches the paper
+#: server's 36 cores; latency is insensitive to it at the low
+#: utilizations where the fluid tier is accurate.
+MMK_SERVERS = 36
+
 
 @dataclass(frozen=True)
 class FluidConfig:
@@ -71,16 +76,10 @@ class FluidConfig:
     calibrate_requests: int = 25
     #: Explicit per-service mean service time (ns); skips calibration.
     service_time_ns: Mapping[str, float] = dataclass_field(default_factory=dict)
-    #: Servers of the per-(machine, service) M/M/k model. Matches the
-    #: paper server's 36 cores; latency is insensitive to it at the low
-    #: utilizations where the fluid tier is accurate.
-    effective_servers: int = 36
     #: Generate arrivals in per-quantum Poisson batches instead of one
     #: timeout per request — the fleet-scale fast path. Changes the
     #: arrival stream, so accuracy comparisons use ``batched=False``.
     batched: bool = False
-    #: EWMA smoothing for per-queue arrival-rate estimates.
-    rate_alpha: float = 0.3
 
 
 class FluidTier:
@@ -199,9 +198,8 @@ class FluidTier:
             queue = FluidQueue(
                 f"m{machine_index}/{service}",
                 service_time_ns=self.service_time(service),
-                servers=self.config.effective_servers,
+                servers=MMK_SERVERS,
                 start_ns=self.cluster.env.now,
-                rate_alpha=self.config.rate_alpha,
             )
             self.queues[key] = queue
         return queue

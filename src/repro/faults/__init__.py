@@ -8,10 +8,9 @@ a centralized hardware manager. This package makes that claim testable:
 * :class:`FaultConfig` — a frozen, all-zeroes-by-default description of
   which faults to inject and how aggressively to recover,
 * :class:`FaultPlane` — the deterministic, seeded injector threaded
-  through the accelerator PEs, the A-DMA pool, the NoC links, the
-  placement hops and the ATM (plus the RELIEF manager via the
-  orchestrator), gray slow-but-alive faults included
-  (:mod:`repro.faults.plane`),
+  through the accelerator PEs, the A-DMA pool and the NoC links (plus
+  the RELIEF manager via the orchestrator), gray slow-but-alive faults
+  included (:mod:`repro.faults.plane`),
 * :class:`RecoveryPolicy` / :class:`CircuitBreaker` — the dispatcher
   watchdog + bounded-retry + health-tracking machinery installed on
   every orchestrator when a fault plane is present.

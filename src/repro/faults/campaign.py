@@ -30,14 +30,14 @@ table that CI diffs against its golden fixture.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
-from ..obs import ObsConfig
-from ..obs.slo import SLOMonitorConfig, SLOTarget
-from ..server.driver import RunConfig, calibrate_slo, drive, make_server
-from ..server.machine import SimulatedServer
-from ..sim import LatencyRecorder
 from .config import FaultConfig
+
+if TYPE_CHECKING:  # pragma: no cover - a campaign loads these when it runs
+    from ..obs import ObsConfig
+    from ..server.driver import RunConfig
+    from ..server.machine import SimulatedServer
 
 __all__ = [
     "ARCHITECTURES",
@@ -129,6 +129,9 @@ _BURN_THRESHOLD = 2.0
 
 
 def _slo_obs(slo_ns: float) -> ObsConfig:
+    from ..obs import ObsConfig
+    from ..obs.slo import SLOMonitorConfig, SLOTarget
+
     return ObsConfig(
         slo=SLOMonitorConfig(
             targets=(
@@ -145,6 +148,8 @@ def _slo_obs(slo_ns: float) -> ObsConfig:
 
 def cell_config(architecture: str, seed: int, n_requests: int) -> RunConfig:
     """A chaos cell's open-loop run: Poisson arrivals at ``RATE_RPS``."""
+    from ..server.driver import RunConfig
+
     return RunConfig(
         architecture,
         requests_per_service=n_requests,
@@ -169,6 +174,8 @@ def score(in_flight, now_ns: float, slo_ns: float) -> Dict[str, float]:
     when it completed with no error, no fatal timeout and a latency
     within ``slo_ns``, out of every submission.
     """
+    from ..sim import LatencyRecorder
+
     recorder = LatencyRecorder()
     available = errors = timeouts = censored = 0
     for request, _process in in_flight:
@@ -202,6 +209,7 @@ def run_cell(
     architecture: str, scenario: str, seed: int, n_requests: int
 ) -> Dict[str, float]:
     """One campaign cell: clean CRN reference + faulty run + scorecard."""
+    from ..server.driver import calibrate_slo, drive, make_server
     from ..workloads import social_network_services
 
     spec = next(

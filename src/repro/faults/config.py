@@ -51,23 +51,6 @@ class FaultConfig:
     #: by this factor while a fault plane is installed.
     noc_degraded_factor: float = 1.0
 
-    # -- Placement-hop faults (need a placement fabric to bite) ------------
-    #: Mean gap between PCIe link flaps (0 disables); a flapped link
-    #: admits no new package<->card crossings for
-    #: :attr:`pcie_flap_down_ns`. Only transfers whose endpoints sit on
-    #: a ``pcie`` placement are affected — an all-on-package machine is
-    #: byte-identical with this knob set.
-    pcie_flap_interval_ns: float = 0.0
-    pcie_flap_down_ns: float = 2e5
-    pcie_flap_max: int = 16
-    #: Mean gap between NIC congestion windows (0 disables); while one
-    #: is open, every ``nic`` crossing stretches by
-    #: :attr:`nic_congestion_factor`.
-    nic_congestion_interval_ns: float = 0.0
-    nic_congestion_ns: float = 5e5
-    nic_congestion_factor: float = 4.0
-    nic_congestion_max: int = 16
-
     # -- Gray faults (slow-but-alive; see repro.faults.plane) --------------
     #: Probability that this *machine* limps: one Bernoulli draw at
     #: plane attach decides whether every accelerator op on this server
@@ -89,26 +72,6 @@ class FaultConfig:
     #: trigger bites at every seed. Validated against the hardware at
     #: plane attach (kind names are per-architecture).
     gray_slowdown_kind: str = ""
-    #: Mean gap between congestion ramps on one placement hop
-    #: (0 disables); the hop's crossing-time multiplier staircases from
-    #: 1 up to :attr:`gray_ramp_peak_factor` and back down over
-    #: :attr:`gray_ramp_ns`, in ``2 * gray_ramp_steps`` equal treads.
-    #: Machines with nothing behind the scoped hop are byte-identical.
-    gray_ramp_interval_ns: float = 0.0
-    gray_ramp_ns: float = 2e6
-    gray_ramp_peak_factor: float = 6.0
-    gray_ramp_steps: int = 4
-    gray_ramp_max: int = 8
-    #: Which placement hop the ramps congest ("near_cache", "pcie",
-    #: "nic" or "remote"; validated against the Placement enum).
-    gray_ramp_placement: str = "nic"
-
-    # -- ATM faults --------------------------------------------------------
-    #: Mean gap between ATM outages (0 disables); reads issued during an
-    #: outage wait until the SRAM comes back.
-    atm_outage_interval_ns: float = 0.0
-    atm_outage_ns: float = 1e5
-    atm_outage_max: int = 8
 
     # -- Central hardware-manager faults (RELIEF-family only) --------------
     #: Mean gap between manager outages (0 disables); the manager unit
@@ -145,11 +108,6 @@ class FaultConfig:
     breaker_failure_threshold: int = 5
     breaker_window_ns: float = 5e6
     breaker_cooldown_ns: float = 10e6
-    #: Lost remote responses re-waited before declaring a fatal timeout.
-    tcp_max_retries: int = 2
-    #: Corrupted inter-accelerator DMA transfers re-issued before the
-    #: request is failed.
-    dma_max_retries: int = 2
 
     @property
     def enabled(self) -> bool:
@@ -163,9 +121,6 @@ class FaultConfig:
             or self.dma_corruption_rate > 0.0
             or self.noc_flap_interval_ns > 0.0
             or self.noc_degraded_factor > 1.0
-            or self.pcie_flap_interval_ns > 0.0
-            or self.nic_congestion_interval_ns > 0.0
-            or self.atm_outage_interval_ns > 0.0
             or self.manager_outage_interval_ns > 0.0
             or self.gray_enabled
         )
@@ -176,7 +131,6 @@ class FaultConfig:
         return (
             self.gray_limp_probability > 0.0
             or self.gray_slowdown_interval_ns > 0.0
-            or self.gray_ramp_interval_ns > 0.0
         )
 
     #: Every probability knob: must lie in [0, 1].
@@ -197,16 +151,8 @@ class FaultConfig:
         "dma_stall_ns",
         "noc_flap_interval_ns",
         "noc_flap_down_ns",
-        "pcie_flap_interval_ns",
-        "pcie_flap_down_ns",
-        "nic_congestion_interval_ns",
-        "nic_congestion_ns",
         "gray_slowdown_interval_ns",
         "gray_slowdown_ns",
-        "gray_ramp_interval_ns",
-        "gray_ramp_ns",
-        "atm_outage_interval_ns",
-        "atm_outage_ns",
         "manager_outage_interval_ns",
         "manager_outage_ns",
         "backoff_base_ns",
@@ -217,10 +163,8 @@ class FaultConfig:
     #: Slowdown multipliers: < 1 would model speedups, not faults.
     _FACTOR_FIELDS = (
         "noc_degraded_factor",
-        "nic_congestion_factor",
         "gray_limp_factor",
         "gray_slowdown_factor",
-        "gray_ramp_peak_factor",
     )
 
     def validate(self) -> None:
@@ -240,23 +184,8 @@ class FaultConfig:
                 raise ValueError(
                     f"{name} must be >= 1 (a slowdown multiplier), got {value}"
                 )
-        from ..hw.placement import Placement
-
-        hop_scopes = sorted(
-            p.value for p in Placement if p is not Placement.ON_PACKAGE
-        )
-        if self.gray_ramp_placement not in hop_scopes:
-            raise ValueError(
-                f"gray_ramp_placement must be a placement hop "
-                f"({', '.join(hop_scopes)}), got {self.gray_ramp_placement!r}; "
-                f"'on_package' has no hop link to congest"
-            )
-        if self.gray_ramp_steps < 1:
-            raise ValueError(
-                f"gray_ramp_steps must be >= 1, got {self.gray_ramp_steps}"
-            )
-        if self.step_max_retries < 0 or self.tcp_max_retries < 0:
-            raise ValueError("retry counts must be non-negative")
+        if self.step_max_retries < 0:
+            raise ValueError("step_max_retries must be non-negative")
         if self.retry_budget_tokens < 0 or self.retry_budget_refill_per_s < 0:
             raise ValueError(
                 "retry_budget_tokens and retry_budget_refill_per_s must be "

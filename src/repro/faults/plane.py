@@ -2,27 +2,24 @@
 
 One :class:`FaultPlane` serves a whole server. Hardware components hold
 a reference and consult it inline: per-op draws (PE transients and
-wedges, DMA stalls and corruptions), outage gates through
-:meth:`~FaultPlane.wait_up`, and slowdown multipliers through
-:meth:`~FaultPlane.factor` and :meth:`~FaultPlane.service_factor`.
+wedges, DMA stalls and corruptions), link gates through
+:meth:`~FaultPlane.wait_up`, and service-time multipliers through
+:meth:`~FaultPlane.service_factor` and :meth:`~FaultPlane.link_factor`.
 
-Eight categories are windowed: stuck PEs, inter-chiplet link flaps,
-PCIe flaps, NIC congestion, ATM outages, manager outages, gray
-slowdowns and gray ramps. Each runs as one bounded process of the one
-loop :meth:`~FaultPlane._windows`: wait an exponential gap, draw a
-target where the category has several, then run the category's window
-body, which skips a target that is already faulted, emits, and holds
-the fault. An outage closes a gate in ``_down``; a slowdown sets a
-multiplier in ``_factor``. ``*_max`` bounds every loop, so a bare
-``env.run()`` always drains.
+Four categories are windowed: stuck PEs, inter-chiplet link flaps,
+manager outages and gray slowdowns. Each runs as one bounded process
+of the one loop :meth:`~FaultPlane._windows`: wait an exponential gap,
+draw a target where the category has several, then run the category's
+window body, which skips a target that is already faulted, emits, and
+holds the fault. A link flap closes a gate in ``_down``; a slowdown
+sets a multiplier in ``_factor``. ``*_max`` bounds every loop, so a
+bare ``env.run()`` always drains.
 
 Gray faults are slow-but-alive degradation, not fail-stop: a machine
 that limps at ``gray_limp_factor`` for the whole run (one Bernoulli
-draw at attach), one accelerator instance that serves ops
-``gray_slowdown_factor`` slower for a window, and a placement hop whose
-congestion ramps up and back down in a staircase instead of stepping
-like the NIC window. Nothing errors; tails just stretch until a health
-plane notices.
+draw at attach), and one accelerator instance that serves ops
+``gray_slowdown_factor`` slower for a window. Nothing errors; tails
+just stretch until a health plane notices.
 
 Every category draws from its own named stream derived via
 :func:`repro.sim.derive_seed`, so enabling one fault type never
@@ -51,13 +48,9 @@ CATEGORIES = (
     "dma-stall",
     "dma-corruption",
     "noc-flap",
-    "pcie-flap",
-    "nic-congestion",
-    "atm-outage",
     "manager-outage",
     "gray-limp",
     "gray-slowdown",
-    "gray-ramp",
 )
 
 
@@ -79,11 +72,11 @@ class FaultPlane:
         self._streams = streams
         self._pe_stream = streams.stream("faults/pe")
         self._dma_stream = streams.stream("faults/dma")
-        #: Outages: a chiplet pair ``(a, b)`` with ``a < b``, ``"atm"``
-        #: or a placement -> the gate that fires when it is back up.
-        self._down: Dict[object, Event] = {}
-        #: Open slowdowns: an accelerator instance or a placement -> its
-        #: multiplier (absent = 1.0).
+        #: Flapped links: a chiplet pair ``(a, b)`` with ``a < b`` -> the
+        #: gate that fires when it is back up.
+        self._down: Dict[tuple, Event] = {}
+        #: Open slowdowns: an accelerator instance -> its multiplier
+        #: (absent = 1.0).
         self._factor: Dict[object, float] = {}
         #: Service-time multiplier of the whole machine: the limp factor
         #: when the attach-time draw made it limp, else 1.0.
@@ -102,7 +95,6 @@ class FaultPlane:
             accel.fault_plane = self
         hardware.dma.fault_plane = self
         hardware.network.fault_plane = self
-        hardware.atm.fault_plane = self
         config = self.config
         if config.pe_stuck_mtbf_ns > 0:
             self._start(
@@ -116,29 +108,6 @@ class FaultPlane:
                 config.noc_flap_max, self._link_flap,
                 sorted(hardware.network._links),
             )
-        # Placement-hop windows only make sense against a placement
-        # fabric; an all-on-package machine has no PCIe link to flap,
-        # so these knobs (and the ramp's) leave it byte-identical.
-        fabric = getattr(hardware, "fabric", None)
-        if fabric is not None:
-            fabric.fault_plane = self
-            if config.pcie_flap_interval_ns > 0:
-                self._start(
-                    "fault-pcie-flap", "faults/pcie",
-                    config.pcie_flap_interval_ns, config.pcie_flap_max,
-                    self._pcie_flap,
-                )
-            if config.nic_congestion_interval_ns > 0:
-                self._start(
-                    "fault-nic-congestion", "faults/nic",
-                    config.nic_congestion_interval_ns,
-                    config.nic_congestion_max, self._nic_congestion,
-                )
-        if config.atm_outage_interval_ns > 0:
-            self._start(
-                "fault-atm-outage", "faults/atm", config.atm_outage_interval_ns,
-                config.atm_outage_max, self._atm_outage,
-            )
         if config.gray_limp_probability > 0.0:
             machine = self._streams.stream("faults/gray-machine")
             if machine.bernoulli(config.gray_limp_probability):
@@ -149,11 +118,6 @@ class FaultPlane:
                 "fault-gray-slowdown", "faults/gray-accel",
                 config.gray_slowdown_interval_ns, config.gray_slowdown_max,
                 self._slowdown, self._slowdown_targets(hardware),
-            )
-        if config.gray_ramp_interval_ns > 0.0 and fabric is not None:
-            self._start(
-                "fault-gray-ramp", "faults/gray-ramp",
-                config.gray_ramp_interval_ns, config.gray_ramp_max, self._ramp,
             )
 
     def attach_manager(self, orchestrator) -> None:
@@ -220,18 +184,14 @@ class FaultPlane:
     # ------------------------------------------------------------------
     # Gates and multipliers (read inline by the hardware models)
     # ------------------------------------------------------------------
-    def wait_up(self, key):
-        """Generator: wait while ``key`` — a chiplet pair ``(a, b)`` with
-        ``a < b``, ``"atm"`` or a placement — is down."""
+    def wait_up(self, pair):
+        """Generator: wait while the inter-chiplet link ``pair`` — a
+        chiplet pair ``(a, b)`` with ``a < b`` — is down."""
         while True:
-            gate = self._down.get(key)
+            gate = self._down.get(pair)
             if gate is None:
                 return
             yield gate
-
-    def factor(self, key) -> float:
-        """Slowdown multiplier of ``key`` (1.0 = healthy)."""
-        return self._factor.get(key, 1.0)
 
     def service_factor(self, accel) -> float:
         """Service-time multiplier for one op on ``accel``: the machine's
@@ -270,22 +230,6 @@ class FaultPlane:
             else:
                 yield from window(targets[stream.randint(0, len(targets) - 1)])
 
-    def _down_for(self, key, ns: float):
-        """Hold ``key`` down for ``ns``; :meth:`wait_up` blocks on it."""
-        gate = self.env.event()
-        self._down[key] = gate
-        yield self.env.timeout(ns)
-        del self._down[key]
-        gate.succeed()
-
-    def _slow_for(self, key, factor: float, ns: float):
-        """Multiply ``key``'s time by ``factor`` for ``ns``."""
-        self._factor[key] = factor
-        yield self.env.timeout(ns)
-        # A NIC window and a ramp on the NIC hop overlap when either
-        # factor is 1.0, so the other may have closed the key already.
-        self._factor.pop(key, None)
-
     def _stuck_pe(self, accel):
         """Jam a free PE of ``accel`` for the repair window."""
         pe = accel._free_pes.try_get()
@@ -303,36 +247,11 @@ class FaultPlane:
             return
         ns = self.config.noc_flap_down_ns
         self.emit("noc-flap", {"link": f"{pair[0]}-{pair[1]}", "down_ns": ns})
-        yield from self._down_for(pair, ns)
-
-    def _pcie_flap(self):
-        """Flap the PCIe hop link: no new package<->card crossings."""
-        from ..hw.placement import Placement
-
-        if Placement.PCIE in self._down:
-            return
-        ns = self.config.pcie_flap_down_ns
-        self.emit("pcie-flap", {"down_ns": ns})
-        yield from self._down_for(Placement.PCIE, ns)
-
-    def _nic_congestion(self):
-        """Stretch every NIC crossing by the congestion factor."""
-        from ..hw.placement import Placement
-
-        if self.factor(Placement.NIC) > 1.0:
-            return  # hop already congested (e.g. a ramp is open)
-        config = self.config
-        self.emit("nic-congestion", {"ns": config.nic_congestion_ns,
-                                     "factor": config.nic_congestion_factor})
-        yield from self._slow_for(
-            Placement.NIC, config.nic_congestion_factor, config.nic_congestion_ns
-        )
-
-    def _atm_outage(self):
-        """Make the trace SRAM unreachable."""
-        ns = self.config.atm_outage_ns
-        self.emit("atm-outage", {"ns": ns})
-        yield from self._down_for("atm", ns)
+        gate = self.env.event()
+        self._down[pair] = gate
+        yield self.env.timeout(ns)
+        del self._down[pair]
+        gate.succeed()
 
     def _manager_outage(self, orchestrator):
         """Hold the central manager unit busy: every submission,
@@ -363,39 +282,18 @@ class FaultPlane:
     def _slowdown(self, accel):
         """Serve ``accel``'s ops slower; it stays alive and keeps
         accepting work."""
-        if self.factor(accel) > 1.0:
+        if self._factor.get(accel, 1.0) > 1.0:
             return  # window already open on this instance
         config = self.config
         self.emit("gray-slowdown", {"accel": accel.kind.value,
                                     "factor": config.gray_slowdown_factor,
                                     "ns": config.gray_slowdown_ns})
-        yield from self._slow_for(
-            accel, config.gray_slowdown_factor, config.gray_slowdown_ns
-        )
-
-    def _ramp(self):
-        """Staircase one placement hop up to the peak multiplier and back
-        down (the gradual-onset congestion shape)."""
-        from ..hw.placement import Placement
-
-        config = self.config
-        placement = Placement(config.gray_ramp_placement)
-        if self.factor(placement) > 1.0:
-            return  # hop already congested (e.g. NIC window open)
-        self.emit("gray-ramp", {"placement": placement.value,
-                                "peak": config.gray_ramp_peak_factor,
-                                "ns": config.gray_ramp_ns})
-        # Symmetric staircase: tread i sits at level min(i+1, 2s-i) of
-        # s, so the hop rises to the peak, holds two treads, and
-        # descends — 2s equal treads covering gray_ramp_ns exactly.
-        steps = config.gray_ramp_steps
-        tread_ns = config.gray_ramp_ns / (2 * steps)
-        rise = config.gray_ramp_peak_factor - 1.0
-        for i in range(2 * steps):
-            level = min(i + 1, 2 * steps - i)
-            self._factor[placement] = 1.0 + rise * level / steps
-            yield self.env.timeout(tread_ns)
-        self._factor.pop(placement, None)
+        self._factor[accel] = config.gray_slowdown_factor
+        yield self.env.timeout(config.gray_slowdown_ns)
+        # A factor of exactly 1.0 does not count as open above, so two
+        # windows may overlap on one instance and the other may have
+        # closed it already.
+        self._factor.pop(accel, None)
 
     # ------------------------------------------------------------------
     # Statistics

@@ -30,9 +30,6 @@ class AtmMemory:
         self._next_address = 1
         self.reads = 0
         self.writes = 0
-        #: Optional :class:`repro.faults.FaultPlane` (None = fault-free):
-        #: reads issued during an ATM outage wait for the SRAM to return.
-        self.fault_plane = None
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -66,8 +63,6 @@ class AtmMemory:
         """Process: fetch the trace at ``address`` paying read latency."""
         if address not in self._slots:
             raise KeyError(f"no trace at ATM address {address}")
-        if self.fault_plane is not None:
-            yield from self.fault_plane.wait_up("atm")
         yield self.env.timeout(self.params.read_latency_ns)
         self.reads += 1
         return self._slots[address]

@@ -22,8 +22,7 @@ Three layers:
   :class:`~repro.hw.noc.Network`. Transfers whose endpoints are all
   on-package delegate straight to the NoC (the fast path); any
   off-package endpoint additionally pays its placement's hop crossing,
-  with contention on the shared link and fault-plane gates (PCIe link
-  flaps, NIC congestion) applied per placement.
+  with contention on the shared link.
 
 The default :class:`MachineParams` carries no placement config at all,
 so the fabric is never instantiated and the simulator is byte-identical
@@ -276,10 +275,6 @@ class PlacementFabric:
         #: Optional :class:`repro.obs.SpanTracer`; every hop crossing
         #: records a "placement" track span when tracing is on.
         self.tracer = tracer
-        #: Optional :class:`repro.faults.FaultPlane` (None = fault-free):
-        #: supplies per-placement down gates (PCIe link flaps) and
-        #: degradation factors (NIC congestion).
-        self.fault_plane = None
         self._links: Dict[Placement, Resource] = {
             placement: Resource(env, capacity=config.hop_models[placement].lanes)
             for placement in config.placements_in_use()
@@ -341,19 +336,11 @@ class PlacementFabric:
         env = self.env
         hop = self.config.hop_models[placement]
         start = env.now
-        plane = self.fault_plane
-        if plane is not None:
-            # A flapped link admits no new crossings until it returns.
-            yield from plane.wait_up(placement)
         self._in_flight[placement].add(1.0, env.now)
         try:
             with self._links[placement].request() as lane:
                 yield lane
-                leg_ns = hop.crossing_ns(nbytes)
-                if plane is not None:
-                    # Congestion stretches the whole crossing.
-                    leg_ns *= plane.factor(placement)
-                yield env.timeout(leg_ns)
+                yield env.timeout(hop.crossing_ns(nbytes))
         finally:
             self._in_flight[placement].add(-1.0, env.now)
         self.hop_transfers[placement] += 1

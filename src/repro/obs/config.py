@@ -61,8 +61,6 @@ class ObsConfig:
     trace: bool = False
     #: Fraction of requests traced, per service (stride sampling).
     sample_rate: float = 1.0
-    #: Span memory bound; beyond it spans are dropped (and counted).
-    max_spans: int = 200_000
     #: Run the periodic time-series sampler.
     metrics: bool = False
     #: Sampling period of the metrics process (sim ns).
@@ -109,9 +107,7 @@ class ObsConfig:
         if self.trace:
             from .span import SpanTracer
 
-            tracer = SpanTracer(
-                env, sample_rate=self.sample_rate, max_spans=self.max_spans
-            )
+            tracer = SpanTracer(env, sample_rate=self.sample_rate)
         if self.metrics:
             from .metrics import MetricsRegistry
 

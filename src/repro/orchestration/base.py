@@ -65,6 +65,14 @@ REMOTE_ARCHITECTURE_SCALE: Dict[str, float] = {
     "ideal": 0.28,
 }
 
+#: Lost remote responses re-waited (with recovery installed) before the
+#: request is declared fatally timed out.
+TCP_MAX_RETRIES = 2
+
+#: Corrupted inter-accelerator DMA transfers re-issued (with recovery
+#: installed) before the request is failed.
+DMA_MAX_RETRIES = 2
+
 
 class Orchestrator:
     """Base orchestrator; subclasses implement the coordination costs."""
@@ -249,7 +257,7 @@ class Orchestrator:
         """Wait for the remote response; False on fatal TCP timeout.
 
         With recovery installed, a lost response is re-waited up to
-        ``tcp_max_retries`` times with jittered backoff (counted in
+        :data:`TCP_MAX_RETRIES` times with jittered backoff (counted in
         ``tcp_recovered`` when a retry eventually lands); without it, the
         first loss is fatal, exactly as in the fault-free simulator.
         """
@@ -265,7 +273,7 @@ class Orchestrator:
             # now instead of re-offering load to a saturated network.
             if (
                 recovery is None
-                or attempts >= recovery.config.tcp_max_retries
+                or attempts >= TCP_MAX_RETRIES
                 or not recovery.allow_retry("tcp")
             ):
                 request.timed_out = True
@@ -654,7 +662,7 @@ class Orchestrator:
 
         Without recovery this is a single transfer (corruption cannot be
         injected then). With recovery, corrupted transfers are re-issued
-        with backoff up to ``dma_max_retries``; exhaustion fails the
+        with backoff up to :data:`DMA_MAX_RETRIES`; exhaustion fails the
         request with a sane error status.
         """
         env = self.env
@@ -667,9 +675,7 @@ class Orchestrator:
             if ok or recovery is None:
                 return ok
             attempt += 1
-            if attempt > recovery.config.dma_max_retries or not recovery.allow_retry(
-                "dma"
-            ):
+            if attempt > DMA_MAX_RETRIES or not recovery.allow_retry("dma"):
                 recovery.dma_fatal += 1
                 request.error = True
                 return False

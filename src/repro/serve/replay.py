@@ -69,9 +69,6 @@ def synthetic_trace(
     rate_rps: Optional[float] = None,
     requests_per_service: int = 50,
     seed: int = 0,
-    burst_factor: float = 6.0,
-    burst_share: float = 0.15,
-    mean_dwell_ns: float = 2e6,
 ) -> List[TraceEvent]:
     """Materialize an open-loop trace from the named load model.
 
@@ -83,14 +80,7 @@ def synthetic_trace(
     events: List[TraceEvent] = []
     for spec in services:
         rate = rate_rps if rate_rps is not None else spec.rate_rps
-        arrivals = make_arrivals(
-            mode,
-            rate,
-            streams.stream(f"arrivals/{spec.name}"),
-            burst_factor=burst_factor,
-            burst_share=burst_share,
-            mean_dwell_ns=mean_dwell_ns,
-        )
+        arrivals = make_arrivals(mode, rate, streams.stream(f"arrivals/{spec.name}"))
         t_ns = 0.0
         for _ in range(requests_per_service):
             t_ns += arrivals.next_gap_ns()

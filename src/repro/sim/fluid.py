@@ -47,6 +47,9 @@ __all__ = [
     "FluidStepper",
 ]
 
+#: EWMA smoothing of each queue's arrival-rate estimate.
+_RATE_SMOOTHING = 0.3
+
 
 def erlang_b(servers: int, offered: float) -> float:
     """Erlang-B blocking probability for ``offered`` Erlangs, ``servers``
@@ -124,7 +127,6 @@ class FluidQueue:
         "busy_integral_ns",
         "mass_integral_ns",
         "rate_estimate",
-        "rate_alpha",
         "_last_step_ns",
         "_pending_arrivals",
         "_start_ns",
@@ -136,7 +138,6 @@ class FluidQueue:
         service_time_ns: float,
         servers: int = 1,
         start_ns: float = 0.0,
-        rate_alpha: float = 0.3,
     ):
         if service_time_ns <= 0:
             raise ValueError(f"service time must be positive, got {service_time_ns}")
@@ -160,7 +161,6 @@ class FluidQueue:
         self.mass_integral_ns = 0.0
         #: EWMA arrival-rate estimate (jobs per ns), fed by the stepper.
         self.rate_estimate = 0.0
-        self.rate_alpha = rate_alpha
         self._last_step_ns = start_ns
         self._start_ns = start_ns
         self._pending_arrivals = 0.0
@@ -201,8 +201,7 @@ class FluidQueue:
         # that landed since the previous step.
         if dt > 0:
             instant = self._pending_arrivals / dt
-            alpha = self.rate_alpha
-            self.rate_estimate += alpha * (instant - self.rate_estimate)
+            self.rate_estimate += _RATE_SMOOTHING * (instant - self.rate_estimate)
             self._pending_arrivals = 0.0
         x0 = self.mass
         x = x0

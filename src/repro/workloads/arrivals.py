@@ -7,9 +7,10 @@ is the one place each named shape is defined:
   Poisson inter-arrivals).
 * :class:`MmppArrivals` — a two-state Markov-modulated Poisson process
   used as the synthetic substitute for Alibaba's production traces
-  (Fig 11) and, with spikier parameters, Azure's serverless traces
-  (Fig 16). Real production traces alternate calm and bursty regimes;
-  MMPP-2 is the standard parsimonious model of that behaviour.
+  (Fig 11), with spikier parameters for Azure's serverless traces
+  (Fig 16), and with short dwells for runs of a few hundred requests.
+  Real production traces alternate calm and bursty regimes; MMPP-2 is
+  the standard parsimonious model of that behaviour.
 """
 
 from __future__ import annotations
@@ -23,26 +24,18 @@ __all__ = ["PoissonArrivals", "MmppArrivals", "make_arrivals"]
 _SECOND_NS = 1e9
 
 
-def make_arrivals(
-    mode: str,
-    rate_rps: float,
-    stream: Stream,
-    *,
-    burst_factor: float = 4.0,
-    burst_share: float = 0.15,
-    mean_dwell_ns: float = 20e6,
-):
+def make_arrivals(mode: str, rate_rps: float, stream: Stream):
     """Build the arrival generator for one of the named load models.
 
     ``"poisson"`` is the Figure 12 sweep; ``"alibaba"`` and ``"azure"``
     are fixed MMPP-2 parameterizations standing in for the respective
     production traces (Alibaba: moderate bursts; Azure Functions: rare
     but violent spikes, the idle-then-spike invocation pattern of
-    serverless traffic); ``"mmpp"`` is an MMPP-2 with caller-chosen burst
-    shape (the keyword arguments, ignored by the named modes) for runs
-    whose horizon is shorter than the trace-scale 20 ms regime dwells.
-    Both the single-server driver and the cluster driver resolve their
-    ``arrival_mode`` through this factory.
+    serverless traffic); ``"mmpp"`` is a fixed MMPP-2 with 6x bursts and
+    2 ms dwells, so a run of a few hundred requests spans several
+    regimes instead of sitting inside one trace-scale 20 ms dwell. The
+    server and cluster drivers and the replay and soak CLIs resolve
+    their arrival mode through this factory.
     """
     if mode == "poisson":
         return PoissonArrivals(rate_rps, stream)
@@ -52,11 +45,7 @@ def make_arrivals(
         return MmppArrivals(rate_rps, stream, burst_factor=10.0, burst_share=0.06)
     if mode == "mmpp":
         return MmppArrivals(
-            rate_rps,
-            stream,
-            burst_factor=burst_factor,
-            burst_share=burst_share,
-            mean_dwell_ns=mean_dwell_ns,
+            rate_rps, stream, burst_factor=6.0, burst_share=0.15, mean_dwell_ns=2e6
         )
     raise ValueError(f"unknown arrival mode {mode!r}")
 

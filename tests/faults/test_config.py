@@ -21,11 +21,9 @@ def test_default_config_is_disabled():
         ("dma_corruption_rate", 0.01),
         ("noc_flap_interval_ns", 1e6),
         ("noc_degraded_factor", 1.5),
-        ("atm_outage_interval_ns", 1e6),
         ("manager_outage_interval_ns", 1e6),
         ("gray_limp_probability", 0.3),
         ("gray_slowdown_interval_ns", 1e6),
-        ("gray_ramp_interval_ns", 1e6),
     ],
 )
 def test_any_fault_source_enables(field, value):
@@ -37,7 +35,6 @@ def test_any_fault_source_enables(field, value):
     [
         ("gray_limp_probability", 0.3),
         ("gray_slowdown_interval_ns", 1e6),
-        ("gray_ramp_interval_ns", 1e6),
     ],
 )
 def test_gray_sources_set_gray_enabled(field, value):
@@ -49,7 +46,6 @@ def test_gray_factors_without_triggers_do_not_enable():
     config = FaultConfig(
         gray_limp_factor=9.0,
         gray_slowdown_factor=9.0,
-        gray_ramp_peak_factor=9.0,
         gray_slowdown_kind="TCP",
     )
     assert not config.gray_enabled
@@ -57,9 +53,7 @@ def test_gray_factors_without_triggers_do_not_enable():
 
 
 def test_recovery_knobs_alone_do_not_enable():
-    config = FaultConfig(
-        watchdog_timeout_ns=1e5, step_max_retries=7, tcp_max_retries=5
-    )
+    config = FaultConfig(watchdog_timeout_ns=1e5, step_max_retries=7)
     assert not config.enabled
 
 
@@ -80,7 +74,6 @@ def test_retry_budget_knobs_alone_do_not_enable():
         ("dma_corruption_rate", 7.0),
         ("noc_degraded_factor", 0.5),
         ("step_max_retries", -1),
-        ("tcp_max_retries", -2),
         ("watchdog_timeout_ns", 0.0),
         ("gray_limp_probability", -0.1),
         ("gray_limp_probability", 1.5),
@@ -88,8 +81,6 @@ def test_retry_budget_knobs_alone_do_not_enable():
         ("gray_slowdown_interval_ns", -1e6),
         ("gray_slowdown_ns", -1.0),
         ("gray_slowdown_factor", 0.9),
-        ("gray_ramp_peak_factor", 0.0),
-        ("gray_ramp_steps", 0),
         ("backoff_base_ns", -10.0),
         ("breaker_window_ns", -1.0),
         ("retry_budget_tokens", -1.0),
@@ -102,26 +93,12 @@ def test_validate_rejects_bad_knobs(field, value):
         config.validate()
 
 
-@pytest.mark.parametrize("scope", ["on_package", "warp-drive", ""])
-def test_validate_rejects_unknown_ramp_scopes(scope):
-    config = dataclasses.replace(FaultConfig(), gray_ramp_placement=scope)
-    with pytest.raises(ValueError, match="gray_ramp_placement"):
-        config.validate()
-
-
-@pytest.mark.parametrize("scope", ["near_cache", "pcie", "nic", "remote"])
-def test_validate_accepts_every_placement_hop(scope):
-    dataclasses.replace(FaultConfig(), gray_ramp_placement=scope).validate()
-
-
 def test_rejection_messages_name_the_knob():
     """Actionable errors: the message carries the field and the value."""
     with pytest.raises(ValueError, match="gray_limp_probability"):
         FaultConfig(gray_limp_probability=-0.5).validate()
     with pytest.raises(ValueError, match="gray_slowdown_interval_ns"):
         FaultConfig(gray_slowdown_interval_ns=-2.0).validate()
-    with pytest.raises(ValueError, match="on_package"):
-        FaultConfig(gray_ramp_placement="on_package").validate()
 
 
 def test_default_config_validates():

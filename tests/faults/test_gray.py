@@ -1,11 +1,10 @@
 """Gray faults: slow-but-alive categories of the fault plane.
 
-Pins the three gray categories (machine limp, instance slowdowns,
-congestion ramps) against the plane's core contracts: zero-rate knobs
-are byte-identical to the fault-free simulator, active knobs only ever
-*slow* work (nothing errors), scoping is honoured (kind filters,
-placement hops), and seeded runs reproduce exactly. ``CHAOS_SEED``
-rotates the seed in CI (see the chaos job).
+Pins the two gray categories (machine limp, instance slowdowns)
+against the plane's core contracts: zero-rate knobs are byte-identical
+to the fault-free simulator, active knobs only ever *slow* work
+(nothing errors), kind scoping is honoured, and seeded runs reproduce
+exactly. ``CHAOS_SEED`` rotates the seed in CI (see the chaos job).
 """
 
 import os
@@ -13,7 +12,6 @@ import os
 import pytest
 
 from repro.faults import FaultConfig
-from repro.hw import MachineParams
 from repro.server import SimulatedServer
 from repro.server.driver import RunConfig, drive, make_server
 from repro.sim import LatencyRecorder
@@ -31,27 +29,15 @@ SLOWDOWN = FaultConfig(
     gray_slowdown_factor=8.0,
     gray_slowdown_max=16,
 )
-RAMP = FaultConfig(
-    gray_ramp_interval_ns=2e6,
-    gray_ramp_ns=4e6,
-    gray_ramp_peak_factor=8.0,
-    gray_ramp_steps=4,
-    gray_ramp_max=8,
-    gray_ramp_placement="nic",
-)
 
 
-def _measure(faults, seed=SEED, placement=None, **config_kw):
+def _measure(faults, seed=SEED, **config_kw):
     """One seeded open-loop run; returns (samples, mean, server)."""
     spec = [s for s in social_network_services() if s.name == SERVICE][0]
-    params = (
-        MachineParams().with_placement(placement) if placement else None
-    )
     config = RunConfig(
         "accelflow",
         requests_per_service=N_REQUESTS,
         seed=seed,
-        machine_params=params,
         arrival_mode="poisson",
         rate_rps=RATE_RPS,
         faults=faults,
@@ -169,39 +155,6 @@ class TestInstanceSlowdown:
             SimulatedServer("accelflow", seed=SEED, faults=config)
 
 
-class TestCongestionRamp:
-    def test_ramp_inflates_the_scoped_hop(self):
-        clean, clean_mean, _ = _measure(None, placement="nic")
-        ramped, ramp_mean, server = _measure(RAMP, placement="nic")
-        assert server.fault_plane.injected["gray-ramp"] > 0
-        assert ramped != clean
-        assert ramp_mean > clean_mean
-
-    def test_ramp_noop_without_fabric(self):
-        """All-on-package machine: no placement fabric, so the ramp
-        injector never even starts — byte-identical samples."""
-        clean, _, _ = _measure(None)
-        samples, _, server = _measure(RAMP)
-        assert server.fault_plane is not None
-        assert server.fault_plane.injected["gray-ramp"] == 0
-        assert samples == clean
-
-    def test_ramp_leaves_other_hops_byte_identical(self):
-        """A NIC-scoped ramp must not slow a PCIe-placed machine."""
-        clean, _, _ = _measure(None, placement="pcie")
-        samples, _, server = _measure(RAMP, placement="pcie")
-        assert server.fault_plane.injected["gray-ramp"] > 0  # injector runs
-        assert samples == clean
-
-    def test_factors_reset_after_drain(self):
-        _, _, server = _measure(RAMP, placement="nic")
-        server.env.run()
-        assert all(
-            factor == 1.0
-            for factor in server.fault_plane._factor.values()
-        )
-
-
 class TestStatsAndDeterminism:
     def test_gray_counters_surface_in_plane_stats(self):
         _, _, server = _measure(SLOWDOWN)
@@ -209,7 +162,6 @@ class TestStatsAndDeterminism:
         stats = server.fault_plane.stats()
         assert stats["gray-slowdown"] == float(injected["gray-slowdown"])
         assert stats["gray-limp"] == float(injected["gray-limp"])
-        assert stats["gray-ramp"] == float(injected["gray-ramp"])
         assert stats["total_injected"] >= stats["gray-slowdown"]
 
     def test_service_factor_composes_limp_and_slowdown(self):
@@ -227,8 +179,3 @@ class TestStatsAndDeterminism:
         b = _measure(config)
         assert a[0] == b[0]
         assert a[2].fault_plane.stats() == b[2].fault_plane.stats()
-
-    def test_ramp_seeded_runs_reproduce(self):
-        a = _measure(RAMP, placement="nic")
-        b = _measure(RAMP, placement="nic")
-        assert a[0] == b[0]

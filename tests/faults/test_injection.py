@@ -186,18 +186,6 @@ class TestNocFaults:
         )
 
 
-class TestAtmOutages:
-    def test_reads_wait_out_the_outage(self):
-        server = make_server(
-            faults=FaultConfig(atm_outage_interval_ns=5e4, atm_outage_ns=1e5)
-        )
-        requests = run_all(server, SERVICES["StoreP"], 10)
-        assert server.fault_plane.injected["atm-outage"] > 0
-        assert not any(r.error for r in requests)
-        server.env.run()
-        assert "atm" not in server.fault_plane._down
-
-
 class TestManagerOutages:
     CONFIG = FaultConfig(manager_outage_interval_ns=1e5, manager_outage_ns=5e5)
 
@@ -227,7 +215,6 @@ class TestDeterminism:
         dma_stall_rate=0.2,
         dma_corruption_rate=0.1,
         noc_flap_interval_ns=1e5,
-        atm_outage_interval_ns=2e5,
         watchdog_timeout_ns=2e5,
         backoff_base_ns=100.0,
         # Gray categories ride in the same mix: their injectors draw

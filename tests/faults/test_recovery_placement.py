@@ -1,17 +1,11 @@
-"""Recovery x placement interaction contracts.
+"""Recovery x placement interaction contract.
 
-Two cross-cutting invariants that neither the recovery tests nor the
-placement tests pin on their own:
-
-* a circuit breaker opening on a ``pcie``-placed accelerator must not
-  let the orchestrator route the same kind's work around the hop — the
-  placement is physical, so recovery can wait, retry, or degrade to
-  the CPU, but it can never conjure an on-package instance of a kind
-  that lives on the card;
-* a watchdog timeout during a NIC congestion window is a *recovered*
-  event, not a fatal one — congestion stretches crossings past the
-  watchdog, the attempt is abandoned and retried (or degraded), and
-  the request still completes without error.
+A cross-cutting invariant that neither the recovery tests nor the
+placement tests pin on their own: a circuit breaker opening on a
+``pcie``-placed accelerator must not let the orchestrator route the
+same kind's work around the hop — the placement is physical, so
+recovery can wait, retry, or degrade to the CPU, but it can never
+conjure an on-package instance of a kind that lives on the card.
 
 ``CHAOS_SEED`` rotates the seed in CI.
 """
@@ -30,14 +24,14 @@ N_REQUESTS = 40
 SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 
-def _run(placement_overrides, faults, seed=SEED, default="on_package"):
+def _run(placement_overrides, faults, seed=SEED):
     spec = [s for s in social_network_services() if s.name == SERVICE][0]
     config = RunConfig(
         "accelflow",
         requests_per_service=N_REQUESTS,
         seed=seed,
         machine_params=MachineParams().with_placement(
-            default, placement_overrides
+            "on_package", placement_overrides
         ),
         arrival_mode="poisson",
         rate_rps=RATE_RPS,
@@ -92,38 +86,3 @@ class TestBreakerRespectsPlacement:
         picked = recovery.pick(tcp_instances, env_now)
         assert picked is None  # never an on-package substitute
 
-
-class TestWatchdogDuringNicCongestion:
-    #: Recurring NIC congestion windows (50x crossings). The hop itself
-    #: sits between watchdogged steps, so congestion surfaces as queue
-    #: pile-up that stretches the next step past a tight watchdog.
-    CONGESTION = dict(
-        nic_congestion_interval_ns=2e6,
-        nic_congestion_ns=3e6,
-        nic_congestion_factor=50.0,
-        nic_congestion_max=16,
-        backoff_base_ns=100.0,
-    )
-
-    def test_timeouts_recover_instead_of_failing(self):
-        """Tight watchdog + active congestion regime: attempts time out
-        repeatedly, and every one is recovered — retried on another
-        instance or degraded to the CPU — never surfaced as an error."""
-        faults = FaultConfig(watchdog_timeout_ns=5e4, **self.CONGESTION)
-        requests, server = _run({}, faults, default="nic")
-        recovery = server.orchestrator.recovery
-        assert server.fault_plane.injected["nic-congestion"] > 0
-        assert recovery.watchdog_timeouts > 0
-        assert recovery.step_retries + recovery.degraded_to_cpu > 0
-        assert all(r.completed for r in requests)
-        assert not any(r.error for r in requests)
-
-    def test_generous_watchdog_never_fires_under_same_congestion(self):
-        """A/B leg: double the watchdog under the identical congestion
-        regime and nothing times out — the timeouts above were watchdog
-        pressure, not fatal hardware state."""
-        faults = FaultConfig(watchdog_timeout_ns=1e5, **self.CONGESTION)
-        requests, server = _run({}, faults, default="nic")
-        assert server.fault_plane.injected["nic-congestion"] > 0
-        assert server.orchestrator.recovery.watchdog_timeouts == 0
-        assert not any(r.error for r in requests)

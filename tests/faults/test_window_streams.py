@@ -1,20 +1,20 @@
 """Byte-for-byte pins of every windowed fault category's injections.
 
-One fault mix turns on all eight windowed categories (stuck PE, NoC
-flap, PCIe flap, NIC congestion, ATM outage, manager outage, gray
-slowdown, gray ramp) together with the per-op draws and the limp draw.
-Each cell pins three values that only depend on which events the
-simulation scheduled and in what order:
+One fault mix turns on all four windowed categories (stuck PE, NoC
+flap, manager outage, gray slowdown) together with the per-op draws and
+the limp draw. Each cell pins three values that only depend on which
+events the simulation scheduled and in what order:
 
 * ``env.scheduled_events``,
 * the fault plane's ``stats()``,
 * a sha256 of the ordered ``(t_ns, category, sorted args)`` of every
   ``FaultInjected`` event on the telemetry bus.
 
-With the placement (compression on PCIe, the network stack on the NIC)
-every category fires; relief adds manager outages. Latency sums are
-deliberately not pinned: ``sum()`` rounds differently across CPython
-versions, while these three values do not.
+The placed cells move compression to PCIe and the network stack to
+the NIC, so the same mix also runs across the placement fabric; relief
+adds manager outages. Latency sums are deliberately not pinned:
+``sum()`` rounds differently across CPython versions, while these
+three values do not.
 """
 
 import hashlib
@@ -42,19 +42,11 @@ FAULTS = FaultConfig(
     noc_flap_down_ns=2e4,
     noc_flap_max=64,
     noc_degraded_factor=1.1,
-    pcie_flap_interval_ns=1e6,
-    pcie_flap_down_ns=5e4,
-    nic_congestion_interval_ns=1e6,
-    nic_congestion_ns=2e5,
-    atm_outage_interval_ns=1e6,
-    atm_outage_ns=5e4,
     manager_outage_interval_ns=2e6,
     manager_outage_ns=3e5,
     gray_limp_probability=1.0,
     gray_slowdown_interval_ns=1e6,
     gray_slowdown_ns=5e5,
-    gray_ramp_interval_ns=1e6,
-    gray_ramp_ns=5e5,
 )
 
 PLACED = replace(
@@ -72,42 +64,38 @@ CATEGORIES = (
     "dma-stall",
     "dma-corruption",
     "noc-flap",
-    "pcie-flap",
-    "nic-congestion",
-    "atm-outage",
     "manager-outage",
     "gray-limp",
     "gray-slowdown",
-    "gray-ramp",
 )
 
 #: (architecture, placed, seed, scheduled events, injections per
 #: category, sha256 of the FaultInjected stream).
 CELLS = [
-    ("accelflow", False, 0, 29758, (21, 13, 9, 21, 12, 25, 0, 0, 8, 0, 1, 14, 0),
-     "4a776dc2cf212a5c6ee80d5db1b1e03048ab15f41f2bb027be96fe5286b709cf"),
-    ("accelflow", True, 0, 33263, (25, 9, 8, 21, 12, 23, 14, 12, 8, 0, 1, 14, 6),
-     "fb549b9da79d8fe7817e0f39597cad9467158cd767db3307e61b3959e7c2130d"),
-    ("relief", False, 0, 50374, (20, 13, 8, 46, 17, 23, 0, 0, 8, 7, 1, 14, 0),
-     "e1df9e0d4e284b8e3a26e2704ef4e90e3d64677ab7d425ddbc1940623158abd4"),
-    ("relief", True, 0, 49042, (26, 15, 8, 45, 20, 22, 14, 12, 8, 7, 1, 12, 6),
-     "907cacf6cc099bf76017e46090d649d6f2839667aba3383a43a5b60781eea7b4"),
-    ("cpu-centric", False, 0, 37052, (24, 12, 9, 21, 12, 24, 0, 0, 8, 0, 1, 14, 0),
-     "adad9cd74b2473ed345b1009357d458def16d60228ddc5a4923df5a66da2b486"),
-    ("cpu-centric", True, 0, 40541, (25, 9, 8, 20, 12, 23, 14, 12, 8, 0, 1, 14, 6),
-     "7caecfca2d6cffba0dacca1f9ce95e4a09a4887365a78e700bb055231554de12"),
-    ("accelflow", False, 1, 29683, (21, 10, 6, 24, 9, 27, 0, 0, 8, 0, 1, 15, 0),
-     "45ab9e7c3bd4ee223d12bf032baa9166843c811b13fa635746fe0c56412ff4bc"),
-    ("accelflow", True, 1, 33191, (28, 5, 3, 22, 9, 21, 16, 6, 8, 0, 1, 13, 8),
-     "ac7931bfeb3b225ce9fc690cc9c36877c4ed519f04cb7565076258865f077472"),
-    ("relief", False, 1, 50227, (18, 9, 7, 50, 24, 28, 0, 0, 8, 10, 1, 15, 0),
-     "33f33025129f0c31ab0dcd4b0cb55ef4c6cf41839fcdd902bf4b063745a35aa6"),
-    ("relief", True, 1, 48936, (26, 9, 9, 52, 22, 30, 16, 12, 8, 11, 1, 16, 8),
-     "a2abfa0e14ca8bc3fddc81cb805ad5bb01b43af0f088233039ed8cf069cd2be7"),
-    ("cpu-centric", False, 1, 36870, (20, 9, 6, 24, 8, 28, 0, 0, 8, 0, 1, 15, 0),
-     "4169ba940466822a0b10d7b8cfe58b9c3ce169143965639c81aa25f8929f25ac"),
-    ("cpu-centric", True, 1, 40402, (24, 5, 6, 23, 8, 28, 16, 11, 8, 0, 1, 15, 8),
-     "a95519cefd1d4761d26e45400e3d31f2982d7061acfb55a65d009b16478f58f4"),
+    ("accelflow", False, 0, 29732, (21, 13, 9, 21, 12, 25, 0, 1, 14),
+     "477666d4af2caaf2ee88b00971eaaa03727e7b0199eb0c8996633064c08a94f5"),
+    ("accelflow", True, 0, 33176, (25, 11, 11, 21, 12, 26, 0, 1, 16),
+     "7131367f8c1e0bc3d64738869f342d4b0653b39b6cb1a13dcc05e1c08234f2da"),
+    ("relief", False, 0, 50348, (20, 13, 8, 46, 17, 23, 7, 1, 14),
+     "8194518c501f62541fc6395a2960785a81b83e4fd57cab176980b4da5e2f1e44"),
+    ("relief", True, 0, 48521, (17, 13, 8, 43, 20, 23, 8, 1, 14),
+     "e9c50d2c322a4673f9a6252a8c672e692dbad1e7aeda2f3f728063c544ed6754"),
+    ("cpu-centric", False, 0, 37026, (24, 12, 9, 21, 12, 24, 0, 1, 14),
+     "90c5553b14f9d7649256a7ba5a7c2056da3b82bae0cda9b0aa069762eb353944"),
+    ("cpu-centric", True, 0, 40531, (29, 11, 12, 21, 12, 26, 0, 1, 16),
+     "c2c217bcc6b8e05ce40ddcbf08b5bf4bfa420752f29ebc81d82bb5a6dc44e09b"),
+    ("accelflow", False, 1, 29657, (21, 10, 6, 24, 9, 27, 0, 1, 15),
+     "6f583ed3838df90df0b21e77b312a95c1e2d7f4c5ec748106912709e8ed38cc5"),
+    ("accelflow", True, 1, 33070, (29, 5, 6, 25, 8, 27, 0, 1, 15),
+     "77c2d02c8ddd5394b29f4e5fda61a3cb83b47e33fee78fdbd8004494c82c47da"),
+    ("relief", False, 1, 50201, (18, 9, 7, 50, 24, 28, 10, 1, 15),
+     "e2927b25645fcf1964e7f267680786ff3f1245800ae18d77fa5a0d2ac05f7075"),
+    ("relief", True, 1, 48535, (25, 7, 3, 48, 26, 21, 4, 1, 13),
+     "9927ce16597f9c0b6a3587ebb15bcfc0a065b195a3a33d059049445557d9d8ef"),
+    ("cpu-centric", False, 1, 36844, (20, 9, 6, 24, 8, 28, 0, 1, 15),
+     "49a885b8a03a174652762e819f2cbda46ec3053a1149464c9638a04b3de5c2df"),
+    ("cpu-centric", True, 1, 40242, (19, 11, 6, 23, 8, 27, 0, 1, 15),
+     "685211cb9a1025229dc2ee7beeac1fb4b6264b300fb2345b17d3f0f0a0a7ef8c"),
 ]
 
 

@@ -99,7 +99,7 @@ SERVER_CONFIGS = {
         rate_rps=20000.0,
         machine_params=MachineParams().with_placement("pcie"),
         faults=FaultConfig(
-            pcie_flap_interval_ns=3e6, pcie_flap_down_ns=5e5, pcie_flap_max=64
+            pe_transient_rate=0.05, dma_stall_rate=0.02, pe_stuck_mtbf_ns=3e6
         ),
     ),
     "gray-faults": dict(
@@ -115,12 +115,6 @@ SERVER_CONFIGS = {
             gray_slowdown_ns=1e6,
             gray_slowdown_factor=4.0,
             gray_slowdown_max=8,
-            gray_ramp_interval_ns=3e6,
-            gray_ramp_ns=2e6,
-            gray_ramp_peak_factor=5.0,
-            gray_ramp_steps=4,
-            gray_ramp_max=4,
-            gray_ramp_placement="nic",
         ),
     ),
 }

@@ -88,6 +88,12 @@ def test_fault_free_server_loads_no_optional_plane():
     }
 
 
+def test_campaign_scenarios_load_no_campaign_runner():
+    # perfbench's chaos-fleet set-up reads SCENARIOS and nothing else.
+    loaded = loaded_after("from repro.faults.campaign import SCENARIOS")
+    assert not within(loaded, "repro.server", "repro.obs")
+
+
 def test_one_experiment_loads_no_other():
     loaded = loaded_after("import repro.experiments.fig14_throughput")
     assert within(loaded, "repro.experiments") == {

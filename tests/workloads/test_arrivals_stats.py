@@ -105,12 +105,12 @@ class TestFactory:
         azure = make_arrivals("azure", 1000.0, stream())
         assert azure.burst_factor == 10.0
 
-    def test_custom_mmpp_mode_honours_shape(self):
-        mmpp = make_arrivals("mmpp", 1000.0, stream(), burst_factor=3.0,
-                             burst_share=0.25, mean_dwell_ns=1e6)
-        assert mmpp.burst_factor == 3.0
-        assert mmpp.burst_share == 0.25
-        assert mmpp.mean_dwell_ns == 1e6
+    def test_mmpp_mode_is_one_named_shape(self):
+        mmpp = make_arrivals("mmpp", 1000.0, stream())
+        assert isinstance(mmpp, MmppArrivals)
+        assert mmpp.burst_factor == 6.0
+        assert mmpp.burst_share == 0.15
+        assert mmpp.mean_dwell_ns == 2e6
 
     def test_unknown_mode_rejected(self):
         import pytest
