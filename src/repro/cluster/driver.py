@@ -192,7 +192,8 @@ def _batched_source(cluster: SimulatedCluster, spec: ServiceSpec,
     batch at the front door in one event. Uses its own CRN stream, so
     flipping ``batched`` never perturbs the per-request arrival stream.
     """
-    quantum = config.fluid.quantum_ns
+    from .fluid import QUANTUM_NS as quantum
+
     stream = cluster.streams.stream(f"arrivals-batched/{spec.name}")
     mean = config.offered_rps(spec) * quantum / _SECOND_NS
     remaining = config.requests_per_service
@@ -227,12 +228,14 @@ def run_cluster(
         yield env.all_of([proc for _, _, proc in sink])
         fluid = cluster.fluid
         if fluid is not None:
+            from .fluid import QUANTUM_NS
+
             # Wait for the analytical queues to drain (mass decays
             # exponentially, so "drained" means below a negligible
             # threshold); the horizon still bounds an unstable fluid
             # queue.
             while fluid.total_mass() > 0.05:
-                yield env.timeout(config.fluid.quantum_ns)
+                yield env.timeout(QUANTUM_NS)
 
     watcher = env.process(_watch_completion(env))
     env.run(until=env.any_of([watcher, env.timeout(horizon_ns)]))

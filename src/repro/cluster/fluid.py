@@ -40,7 +40,7 @@ from ..sim.fluid import FluidQueue, FluidStepper
 from ..workloads.request import Request
 from ..workloads.spec import ServiceSpec
 
-__all__ = ["FluidConfig", "FluidTier", "FLUID_TOLERANCES"]
+__all__ = ["FluidConfig", "FluidTier", "FLUID_TOLERANCES", "QUANTUM_NS"]
 
 #: Documented fluid-vs-exact accuracy bands (fractional error) that the
 #: differential harness asserts and ``docs/performance.md`` quotes.
@@ -56,6 +56,10 @@ FLUID_TOLERANCES = {
 #: utilizations where the fluid tier is accurate.
 MMK_SERVERS = 36
 
+#: Sim-time quantum (ns) of the fluid stepper, and of the batched
+#: arrival source and the drain wait that step with it.
+QUANTUM_NS = 0.25e6
+
 
 @dataclass(frozen=True)
 class FluidConfig:
@@ -69,8 +73,6 @@ class FluidConfig:
 
     #: Machine indices that go fluid once the tier is calibrated.
     fluid_machines: Tuple[int, ...] = ()
-    #: Sim-time quantum of the fluid stepper.
-    quantum_ns: float = 0.25e6
     #: Exact completions per service required before machines may go
     #: fluid (ignored for services with a ``service_time_ns`` override).
     calibrate_requests: int = 25
@@ -120,7 +122,7 @@ class FluidTier:
             self._calibration.setdefault(name, [])
         self.stepper = FluidStepper(
             self.cluster.env,
-            quantum_ns=self.config.quantum_ns,
+            quantum_ns=QUANTUM_NS,
             until_ns=until_ns,
             on_step=self._on_step,
         )

@@ -82,6 +82,28 @@ class GlueCostModel:
             self.notifies += 1
         return instructions
 
+    def record_dispatch(self, step: ResolvedStep, payload_bytes: int) -> float:
+        """Account one dispatcher operation and return its wall time:
+        :meth:`record` and :meth:`dispatch_time_ns` in one call, the
+        output dispatcher's per-op path. The two stay as the reference
+        it is tested against."""
+        try:
+            instructions, time_ns = self._per_step[step]
+        except KeyError:
+            instructions, time_ns = self._memoize(step)
+        self.operations += 1
+        self.total_instructions += instructions
+        self.branches_resolved += step.branches_after
+        transforms = step.transforms_after
+        self.transforms_performed += transforms
+        if step.atm_read_after:
+            self.atm_reads += 1
+        if step.notify_after:
+            self.notifies += 1
+        if transforms:
+            time_ns += transforms * payload_bytes / self.DTE_BYTES_PER_NS
+        return time_ns
+
     def dispatch_time_ns(self, step: ResolvedStep, payload_bytes: int = 0) -> float:
         """Wall time of one dispatcher operation (instructions + DTE)."""
         try:

@@ -94,6 +94,10 @@ class Accelerator:
         #: happen and execution is byte-identical to the fault-free model.
         self.fault_plane = None
 
+        #: What an input-queue item is made from an entry: None for FIFO,
+        #: whose items are the entries themselves, else a bound method
+        #: that wraps the entry in a PriorityItem under its policy's key.
+        self._wrap = None
         if policy == QueuePolicy.FIFO:
             self.input_queue: Store = Store(
                 env, capacity=self.accel_params.input_queue_entries
@@ -101,6 +105,10 @@ class Accelerator:
         else:
             self.input_queue = PriorityStore(
                 env, capacity=self.accel_params.input_queue_entries
+            )
+            self._wrap = (
+                self._wrap_priority if policy == QueuePolicy.PRIORITY
+                else self._wrap_deadline
             )
         self.overflow: Store = Store(env, capacity=self.accel_params.overflow_entries)
         self.output_queue: Store = Store(
@@ -117,6 +125,16 @@ class Accelerator:
             self._free_pes.try_put(pe)
         self._seq = itertools.count()
         self._busy_pes = TimeWeightedValue(0.0, env.now)
+        accel_params = self.accel_params
+        #: The constants of ``AcceleratorParams.scratchpad_transfer_ns``
+        #: and ``memory_fetch_ns``, read by every op's staging.
+        self._staging = (
+            accel_params.inline_data_bytes,
+            accel_params.queue_to_scratchpad_latency_ns,
+            accel_params.queue_to_scratchpad_gbps,
+            accel_params.memory_fetch_latency_ns,
+            accel_params.memory_fetch_gbps,
+        )
         #: Optional process factory run by a PE after depositing its
         #: output and *before* freeing itself. Centralized orchestrators
         #: (RELIEF) install their job-retirement round trip here: the PE
@@ -146,7 +164,8 @@ class Accelerator:
         Returns False when both are full, in which case the caller must
         fall back to CPU execution (Section IV-A, deadlock avoidance).
         """
-        if self.input_queue.try_put(self._wrap(entry)):
+        wrap = self._wrap
+        if self.input_queue.try_put(entry if wrap is None else wrap(entry)):
             return True
         if self.overflow.try_put(entry):
             entry.from_overflow = True
@@ -159,20 +178,13 @@ class Accelerator:
     def input_occupancy(self) -> int:
         return len(self.input_queue) + len(self.overflow)
 
-    def _wrap(self, entry: QueueEntry):
-        if self.policy == QueuePolicy.FIFO:
-            return entry
-        if self.policy == QueuePolicy.PRIORITY:
-            key = (entry.priority, next(self._seq))
-        else:  # EDF: earliest absolute deadline first; no-SLO entries last.
-            deadline = entry.deadline_ns if entry.deadline_ns is not None else float("inf")
-            key = (deadline, next(self._seq))
-        return PriorityItem(key, entry)
+    def _wrap_priority(self, entry: QueueEntry) -> PriorityItem:
+        return PriorityItem((entry.priority, next(self._seq)), entry)
 
-    def _unwrap(self, item) -> QueueEntry:
-        if self.policy == QueuePolicy.FIFO:
-            return item
-        return item.item
+    def _wrap_deadline(self, entry: QueueEntry) -> PriorityItem:
+        # EDF: earliest absolute deadline first; no-SLO entries last.
+        deadline = entry.deadline_ns if entry.deadline_ns is not None else float("inf")
+        return PriorityItem((deadline, next(self._seq)), entry)
 
     # -- input dispatcher FSM -------------------------------------------------
     def _input_dispatcher(self):
@@ -182,14 +194,15 @@ class Accelerator:
         input_queue = self.input_queue
         overflow = self.overflow
         free_pes = self._free_pes
+        wrap = self._wrap
         while True:
             item = yield input_queue.get()
-            entry = self._unwrap(item)
+            entry = item if wrap is None else item.item
             # A slot freed up: promote one overflow entry into the queue
             # (the dispatcher follows the Overflow Pointer, Section V.1).
             if overflow.items and len(input_queue.items) < input_queue.capacity:
                 spilled = overflow.try_get()
-                input_queue.try_put(self._wrap(spilled))
+                input_queue.try_put(spilled if wrap is None else wrap(spilled))
             pe = yield free_pes.get()
             env.process(self._execute(pe, entry), name=pe.name)
 
@@ -215,13 +228,22 @@ class Accelerator:
             self.deadline_violations += 1
         self._busy_pes.add(1.0, env.now)
         start = env.now
+        op = entry.op
+        inline, spad_ns, spad_gbps, fetch_ns, fetch_gbps = self._staging
         try:
             # Move the entry's data into the PE scratchpad; spilled bytes
-            # come from the memory hierarchy via the Memory Pointer.
-            yield env.timeout(
-                self.accel_params.scratchpad_transfer_ns(entry.op.data_in)
-                + self.accel_params.memory_fetch_ns(entry.op.data_in)
-            )
+            # come from the memory hierarchy via the Memory Pointer. This
+            # is scratchpad_transfer_ns(data_in) + memory_fetch_ns(data_in)
+            # term for term; an inline payload's fetch is 0.0, and adding
+            # 0.0 to a positive time changes no bit.
+            data_in = op.data_in
+            if data_in > inline:
+                yield env.timeout(
+                    (spad_ns + inline / spad_gbps)
+                    + (fetch_ns + (data_in - inline) / fetch_gbps)
+                )
+            else:
+                yield env.timeout(spad_ns + data_in / spad_gbps)
             if pe.last_tenant is not None and pe.last_tenant != entry.tenant:
                 self.tenant_wipes += 1
                 yield env.timeout(self.accel_params.scratchpad_wipe_ns)
@@ -237,7 +259,7 @@ class Accelerator:
                     yield env.timeout(wedge_ns)
             # AccelOp.accel_time_ns, with the speedup checked once at
             # construction instead of once per op.
-            service_ns = entry.op.cpu_time_ns / self.speedup
+            service_ns = op.cpu_time_ns / self.speedup
             if plane is not None:
                 # Gray faults stretch service time without erroring: a
                 # limping machine or a slowed instance serves every op,
@@ -254,9 +276,11 @@ class Accelerator:
                 entry.context["fault"] = "pe-transient"
             # Deposit the result into the output queue (blocks on a full
             # queue: backpressure reaches the PE, which is non-preemptible
-            # but cannot retire).
+            # but cannot retire), staged out as scratchpad_transfer_ns
+            # (data_out).
+            data_out = op.data_out
             yield env.timeout(
-                self.accel_params.scratchpad_transfer_ns(entry.op.data_out)
+                spad_ns + (data_out if data_out < inline else inline) / spad_gbps
             )
             yield self.output_queue.put(entry)
             if self.retire_hook is not None:

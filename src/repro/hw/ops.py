@@ -15,12 +15,16 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Optional
 
-from ..sim import Environment, Event
+from ..sim.core import _PENDING, Environment, Event  # kernel sentinel
 from .params import AcceleratorKind
 
 __all__ = ["AccelOp", "QueueEntry"]
 
 _entry_ids = itertools.count()
+
+#: Allocates the completion event without an ``__init__`` frame, the
+#: way ``Environment.timeout`` allocates its timeout.
+_new = object.__new__
 
 
 class AccelOp:
@@ -95,7 +99,14 @@ class QueueEntry:
         self.complete_time: Optional[float] = None
         #: Triggered (with this entry) when the PE has deposited its
         #: output; None once the entry is retired from the output queue.
-        self.done: Optional[Event] = env.event()
+        #: A pending ``Event``, its slots filled in as ``Event.__init__``
+        #: would.
+        done = _new(Event)
+        done.env = env
+        done.callbacks = []
+        done._value = _PENDING
+        done._defused = False
+        self.done: Optional[Event] = done
         #: Free-form carrier for orchestrator state (trace position etc.).
         self.context = context if context is not None else {}
         self.from_overflow = False

@@ -28,6 +28,10 @@ class TranslationOutcome:
         self.latency_ns = latency_ns
 
 
+#: The outcome of every hit, shared: outcomes are read, never changed.
+_HIT = TranslationOutcome(True, False, 0.0)
+
+
 class Iommu:
     """Shared page-walker serving the TLB misses of co-located accelerators."""
 
@@ -55,10 +59,19 @@ class TlbModel:
         iommu: Iommu,
         stream: Stream,
     ):
+        for p in (params.page_fault_probability, params.miss_probability):
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"probability must be in [0, 1], got {p}")
         self.env = env
         self.params = params
         self.iommu = iommu
         self.stream = stream
+        #: Each op draws ``random() < p`` for a page fault, then for a
+        #: miss: the draws of ``stream.bernoulli(p)``, with the
+        #: probabilities checked here once instead of on every op.
+        self._random = stream.random
+        self._page_fault_p = params.page_fault_probability
+        self._miss_p = params.miss_probability
         self.accesses = 0
         self.misses = 0
         self.page_faults = 0
@@ -71,16 +84,18 @@ class TlbModel:
         OS service latency.
         """
         self.accesses += 1
-        start = self.env.now
-        if self.stream.bernoulli(self.params.page_fault_probability):
+        env = self.env
+        if self._random() < self._page_fault_p:
             self.page_faults += 1
-            yield self.env.timeout(self.params.page_fault_service_ns)
-            return TranslationOutcome(False, True, self.env.now - start)
-        if self.stream.bernoulli(self.params.miss_probability):
+            start = env.now
+            yield env.timeout(self.params.page_fault_service_ns)
+            return TranslationOutcome(False, True, env.now - start)
+        if self._random() < self._miss_p:
             self.misses += 1
-            yield self.env.process(self.iommu.walk())
-            return TranslationOutcome(False, False, self.env.now - start)
-        return TranslationOutcome(True, False, 0.0)
+            start = env.now
+            yield env.process(self.iommu.walk())
+            return TranslationOutcome(False, False, env.now - start)
+        return _HIT
 
     def miss_rate(self) -> float:
         if self.accesses == 0:

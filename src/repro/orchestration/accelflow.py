@@ -43,12 +43,11 @@ class AccelFlowOrchestrator(Orchestrator):
         with accel.output_dispatcher.request() as dispatcher:
             yield dispatcher
             acquired = env.now
-            self.glue.record(step)
-            yield env.timeout(self.glue.dispatch_time_ns(step, entry.op.data_out))
+            yield env.timeout(self.glue.record_dispatch(step, entry.op.data_out))
             dispatched = env.now
             if step.atm_read_after:
                 yield env.process(self.hardware.atm.read(self._atm_slot(step)))
-        request.add(Buckets.ORCHESTRATION, env.now - start)
+        request.components[Buckets.ORCHESTRATION] += env.now - start
         if self.tracer is not None:
             rid = self._obs_rid(request)
             if rid is not None:

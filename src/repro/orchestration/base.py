@@ -160,10 +160,10 @@ class Orchestrator:
                 duration = self.cost_model.cpu_segment_ns(spec, step)
                 yield from self._run_on_core(request, duration)
             elif isinstance(step, TraceInvocation):
-                yield env.process(self.run_chain(request, step))
+                yield env.process(self.run_chain(request, step), name="run_chain")
             elif isinstance(step, ParallelInvocations):
                 chains = [
-                    env.process(self.run_chain(request, inv))
+                    env.process(self.run_chain(request, inv), name="run_chain")
                     for inv in step.invocations
                 ]
                 yield env.all_of(chains)
@@ -206,10 +206,12 @@ class Orchestrator:
     # Chain-level walk (entry trace + ATM links + remote waits)
     # ------------------------------------------------------------------
     def run_chain(self, request: Request, invocation: TraceInvocation):
-        """Process: run one chain with this request's payload fields."""
+        """The body of one chain's process: the :meth:`_chain` generator
+        with this request's payload fields, returned as is so that no
+        delegating frame runs on each of its resumptions."""
         state = dict(request.state)
         state.update(invocation.forced)
-        yield from self._chain(request, invocation.entry, state, first=True)
+        return self._chain(request, invocation.entry, state, first=True)
 
     def _chain(self, request: Request, name: str, state: Dict[str, bool], first: bool):
         """Generator: run trace ``name`` and every trace it links to."""
@@ -324,7 +326,7 @@ class Orchestrator:
         # start while the tenant is below its concurrent-trace limit N.
         wait_start = env.now
         yield from self._acquire_tenant_slot(request.tenant)
-        request.add(Buckets.QUEUE, env.now - wait_start)
+        request.components[Buckets.QUEUE] += env.now - wait_start
         try:
             if initiated_by_core:
                 yield from self.submit_overhead(request, path)
@@ -386,11 +388,15 @@ class Orchestrator:
                 duration_ns, priority=self._core_priority(request)
             )
         )
-        request.add(Buckets.CPU, duration_ns)
-        # max(): float cancellation in now - start - duration can land
-        # an idle wait a few ulps below zero.
-        request.add(Buckets.QUEUE, max(env.now - start - duration_ns, 0.0))
-        rid = self._obs_rid(request)
+        components = request.components
+        components[Buckets.CPU] += duration_ns
+        # Clamped at 0.0: float cancellation in now - start - duration
+        # can land an idle wait a few ulps below zero.
+        wait_ns = env.now - start - duration_ns
+        if wait_ns < 0.0:
+            wait_ns = 0.0
+        components[Buckets.QUEUE] += wait_ns
+        rid = None if self.tracer is None else self._obs_rid(request)
         if rid is not None:
             self.tracer.complete(
                 "cpu",
@@ -436,29 +442,22 @@ class Orchestrator:
         """Core-side cost of launching a chain (user-mode Enqueue + DMA)."""
         cost = self.hardware.params.cpu.enqueue_ns
         yield self.env.timeout(cost)
-        request.add(Buckets.ORCHESTRATION, cost)
+        request.components[Buckets.ORCHESTRATION] += cost
 
     def run_step(self, request: Request, step: ResolvedStep):
         """Admit one operation and wait for its PE to finish.
 
-        Returns the completed :class:`QueueEntry`, or None when the step
-        could not run on hardware (accelerator full after retries; with
-        recovery: retry budget exhausted or every instance breaker-open)
-        and the trace must fall back to the CPU.
+        Returns a generator (run with ``yield from``) whose value is the
+        completed :class:`QueueEntry`, or None when the step could not
+        run on hardware (accelerator full after retries; with recovery:
+        retry budget exhausted or every instance breaker-open) and the
+        trace must fall back to the CPU. The base class returns the
+        attempt's own generator, so no delegating frame runs on each of
+        its resumptions.
         """
         if self.recovery is not None:
-            entry = yield from self._run_step_recovered(request, step)
-            return entry
-        entry = yield from self._attempt(request, step, {})
-        return entry
-
-    def _pick_accel(self, kind):
-        """The least-occupied instance of ``kind``; with recovery, the
-        healthiest least-occupied one, or None if every one is tripped."""
-        recovery = self.recovery
-        if recovery is None:
-            return self.hardware.accel(kind)
-        return recovery.pick(self.hardware.instances[kind], self.env.now)
+            return self._run_step_recovered(request, step)
+        return self._attempt(request, step, {})
 
     def _attempt(self, request: Request, step: ResolvedStep, box: Dict):
         """Generator: one dispatch attempt; the completed entry or None.
@@ -485,20 +484,27 @@ class Orchestrator:
                 entry.context["obs_rid"] = rid
         # Each Enqueue targets a freshly picked instance of the type (a
         # failing Enqueue "retries with another accelerator of the same
-        # type", Section IV-A).
-        accel = self._pick_accel(step.kind)
+        # type", Section IV-A): the least-occupied one, or with recovery
+        # the healthiest least-occupied one, None if every one is tripped.
+        recovery = self.recovery
+        hardware = self.hardware
         retries = 0
         try:
-            while accel is not None:
+            while True:
+                if recovery is None:
+                    accel = hardware.accel(step.kind)
+                else:
+                    accel = recovery.pick(hardware.instances[step.kind], env.now)
+                    if accel is None:
+                        break
                 box["accel"] = accel
                 if accel.try_enqueue(entry):
                     break
                 retries += 1
-                if retries > self.hardware.params.cpu.enqueue_max_retries:
+                if retries > hardware.params.cpu.enqueue_max_retries:
                     accel = None
                     break
                 yield env.timeout(200.0)
-                accel = self._pick_accel(step.kind)
             if accel is None:
                 # Queues still full after every retry, or every instance
                 # breaker-open: retrying cannot help, so degrade to CPU.
@@ -690,20 +696,20 @@ class Orchestrator:
             request, step.kind, next_step.kind, entry.op.data_out,
             rid=None if self.tracer is None else self._obs_rid(request),
         )
-        request.add(Buckets.COMMUNICATION, self.env.now - start)
+        request.components[Buckets.COMMUNICATION] += self.env.now - start
 
     def deliver_result(self, request: Request, step: ResolvedStep, entry: QueueEntry):
         """DMA the final payload to memory and notify the core."""
         env = self.env
         start = env.now
-        rid = self._obs_rid(request)
+        rid = None if self.tracer is None else self._obs_rid(request)
         yield from self._dma_with_retry(
             request, step.kind, CPU_ENDPOINT, entry.op.data_out, rid=rid
         )
         notify_start = env.now
         notify_ns = self.hardware.cores.notification_ns()
         yield env.timeout(notify_ns)
-        request.add(Buckets.COMMUNICATION, env.now - start)
+        request.components[Buckets.COMMUNICATION] += env.now - start
         if rid is not None:
             self.tracer.complete(
                 "notify",

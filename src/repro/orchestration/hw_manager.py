@@ -117,7 +117,7 @@ class HwManagerOrchestrator(Orchestrator):
             yield env.timeout(duration_ns)
         self.manager_busy_ns += duration_ns
         self.manager_events += 1
-        request.add(Buckets.ORCHESTRATION, env.now - start)
+        request.components[Buckets.ORCHESTRATION] += env.now - start
 
     # -- hooks ---------------------------------------------------------------
     def submit_overhead(self, request: Request, path: ResolvedPath):
@@ -134,7 +134,7 @@ class HwManagerOrchestrator(Orchestrator):
         env = self.env
         start = env.now
         token = yield self._admission.get()
-        request.add(Buckets.QUEUE, env.now - start)
+        request.components[Buckets.QUEUE] += env.now - start
         try:
             entry = yield from super().run_step(request, step)
         finally:
@@ -183,9 +183,8 @@ class HwManagerOrchestrator(Orchestrator):
             start = env.now
             with entry.context["accel"].output_dispatcher.request() as disp:
                 yield disp
-                self.glue.record(local)
-                yield env.timeout(self.glue.dispatch_time_ns(local))
-            request.add(Buckets.ORCHESTRATION, env.now - start)
+                yield env.timeout(self.glue.record_dispatch(local, 0))
+            request.components[Buckets.ORCHESTRATION] += env.now - start
 
         if step.notify_after:
             if self.config.direct_transfers:
@@ -194,7 +193,7 @@ class HwManagerOrchestrator(Orchestrator):
                 # The manager interrupts the initiating CPU core.
                 start = env.now
                 yield env.process(self.hardware.cores.handle_interrupt())
-                request.add(Buckets.ORCHESTRATION, env.now - start)
+                request.components[Buckets.ORCHESTRATION] += env.now - start
                 yield from self.deliver_result(request, step, entry)
         elif next_step is not None:
             if self.config.direct_transfers:
@@ -215,7 +214,7 @@ class HwManagerOrchestrator(Orchestrator):
                 MEMORY_ENDPOINT, next_step.kind, entry.op.data_out
             )
         )
-        request.add(Buckets.COMMUNICATION, env.now - start)
+        request.components[Buckets.COMMUNICATION] += env.now - start
 
     def stats(self):
         stats = super().stats()

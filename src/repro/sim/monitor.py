@@ -44,6 +44,8 @@ class TimeWeightedValue:
     read ``average(now)`` at the end of a run.
     """
 
+    __slots__ = ("_value", "_last_change", "_weighted_sum", "_start_time")
+
     def __init__(self, initial: float = 0.0, start_time: float = 0.0):
         self._value = initial
         self._last_change = start_time

@@ -38,11 +38,11 @@ class Stream:
     def __init__(self, seed: int, name: str):
         self.name = name
         self._rng = random.Random(seed)
+        #: ``random()``: a uniform draw in [0, 1), the generator's own
+        #: bound C method, so a draw runs no Python frame.
+        self.random = self._rng.random
 
     # -- raw --------------------------------------------------------------
-    def random(self) -> float:
-        return self._rng.random()
-
     def randint(self, low: int, high: int) -> int:
         return self._rng.randint(low, high)
 

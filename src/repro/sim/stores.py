@@ -10,8 +10,12 @@ Waiter queues and the FIFO item buffer are :class:`collections.deque`:
 ``_dispatch`` serves waiters with O(1) ``popleft`` instead of the O(n)
 ``list.pop(0)`` that used to dominate store-contention profiles (every
 queued put/get shifted the whole waiter array). :class:`PriorityStore`
-keeps a plain list because ``heapq`` requires one. See
-``docs/performance.md`` and ``benchmarks/bench_kernel.py``.
+keeps a plain list because ``heapq`` requires one. A store's two
+storage operations are C functions held on its class (``_insert`` and
+``_extract``: ``deque.append`` and ``deque.popleft``, or ``heappush``
+and ``heappop``, each called with the item buffer first), so storing
+or taking an item runs no Python frame and costs no per-store object.
+See ``docs/performance.md`` and ``benchmarks/bench_kernel.py``.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ class StorePut(Event):
             # Room and no queued puts: accept immediately (inlined
             # succeed), then only dispatch if a getter may now be
             # servable.
-            store._insert(item)
+            store._insert(items, item)
             self._value = None
             env._eid += 1
             env._normal.append(self)
@@ -94,7 +98,7 @@ class StoreGet(Event):
         # admissible put was already admitted), so it parks without a
         # dispatch pass.
         if store.items:
-            self._value = store._extract()
+            self._value = store._extract(store.items)
             env._eid += 1
             env._normal.append(self)
             if store._put_waiters:
@@ -117,7 +121,7 @@ class StoreGet(Event):
                 pass
         elif self.ok:
             store = self.store
-            store._insert(self.value)
+            store._insert(store.items, self.value)
             # The returned item consumes capacity again; only a waiting
             # getter can make progress on it.
             if store._get_waiters:
@@ -130,6 +134,13 @@ class Store:
     ``items`` is a :class:`collections.deque` (ordered oldest first);
     compare against lists with ``list(store.items)``.
     """
+
+    #: The storage policy: the item buffer's type, and the operations
+    #: that store an item in it and take the next one out, called as
+    #: ``_insert(items, item)`` and ``_extract(items)``.
+    _new_items = deque
+    _insert = staticmethod(deque.append)
+    _extract = staticmethod(deque.popleft)
 
     def __init__(self, env: Environment, capacity: float = float("inf")):
         if capacity <= 0:
@@ -159,7 +170,7 @@ class Store:
         """Non-blocking put: returns False if the buffer is full."""
         if len(self.items) >= self.capacity:
             return False
-        self._insert(item)
+        self._insert(self.items, item)
         # Inserting consumes capacity, so queued puts cannot progress;
         # only a waiting getter can.
         if self._get_waiters:
@@ -170,7 +181,7 @@ class Store:
         """Non-blocking get: returns None if empty."""
         if not self.items:
             return None
-        item = self._extract()
+        item = self._extract(self.items)
         # Extracting frees capacity, so only queued puts can progress.
         if self._put_waiters:
             self._dispatch()
@@ -186,16 +197,6 @@ class Store:
                     self._dispatch()
                 return True
         return False
-
-    # -- storage policy (overridden by subclasses) --------------------------
-    def _new_items(self):
-        return deque()
-
-    def _insert(self, item: Any) -> None:
-        self.items.append(item)
-
-    def _extract(self) -> Any:
-        return self.items.popleft()
 
     # -- waiter matching ----------------------------------------------------
     def _dispatch(self) -> None:
@@ -217,14 +218,14 @@ class Store:
             progress = False
             while put_waiters and len(items) < capacity:
                 putter = put_waiters.popleft()
-                insert(putter.item)
+                insert(items, putter.item)
                 putter._value = None
                 eid += 1
                 normal.append(putter)
                 progress = True
             while get_waiters and items:
                 getter = get_waiters.popleft()
-                getter._value = extract()
+                getter._value = extract(items)
                 eid += 1
                 normal.append(getter)
                 progress = True
@@ -257,16 +258,10 @@ class PriorityItem:
 class PriorityStore(Store):
     """Store that pops the smallest item first (heap ordered)."""
 
-    def _new_items(self):
-        # heapq requires a list; the heap never pops from index 0 via
-        # the deque path.
-        return []
-
-    def _insert(self, item: Any) -> None:
-        heapq.heappush(self.items, item)
-
-    def _extract(self) -> Any:
-        return heapq.heappop(self.items)
+    # heapq requires a list, kept in heap order by its two operations.
+    _new_items = list
+    _insert = staticmethod(heapq.heappush)
+    _extract = staticmethod(heapq.heappop)
 
     def remove(self, item: Any) -> bool:
         """Heap-preserving remove (identity match).

@@ -19,7 +19,7 @@ from ..core.trace import ResolvedPath
 from ..hw.ops import AccelOp
 from ..hw.params import AcceleratorKind, ProcessorGeneration
 from .calibration import TaxCategory
-from .payloads import PayloadModel
+from .payloads import SIZE_FACTORS
 from .spec import CATEGORY_OF_KIND, CpuSegment, ServiceSpec, count_ops_by_category
 
 __all__ = ["CostModel"]
@@ -30,11 +30,12 @@ class CostModel:
 
     Queries read per-service tables built on first use and keyed on the
     service name: the base time of one op of each kind (the tax scale
-    folded in), the base-time tuple of each resolved path, and the
-    AppLogic time of each CPU-segment weight. A table entry is computed
-    with the same float operations, in the same order, as the formula
-    it stands for: an op's time is ``base * size_scale`` and a chain's
-    is ``sum`` of those terms, left to right.
+    folded in), each kind's op row, the base-time tuple of each
+    resolved path, and the AppLogic time of each CPU-segment weight. A
+    table entry is computed with the same float operations, in the same
+    order, as the formula it stands for: an op's time is
+    ``base * size_scale`` and a chain's is ``sum`` of those terms, left
+    to right.
     """
 
     #: Size scaling of an op's time relative to the median payload is
@@ -53,6 +54,11 @@ class CostModel:
         self._tax_scale = generation.tax_scale if generation else 1.0
         self._app_scale = generation.app_logic_scale if generation else 1.0
         self._op_base: Dict[str, Dict[AcceleratorKind, float]] = {}
+        #: service -> kind -> (base time, median wire size, input and
+        #: output size factors): everything :meth:`op_for` reads.
+        self._op_rows: Dict[
+            str, Dict[AcceleratorKind, Tuple[float, float, float, float]]
+        ] = {}
         self._path_base: Dict[Tuple[str, ResolvedPath], Tuple[float, ...]] = {}
         self._segment_ns: Dict[Tuple[str, float], float] = {}
 
@@ -86,10 +92,33 @@ class CostModel:
     def op_for(
         self, spec: ServiceSpec, kind: AcceleratorKind, wire_size: int
     ) -> AccelOp:
-        """Build the :class:`AccelOp` of one trace step."""
-        cpu_ns = self._op_base_times(spec)[kind] * self.size_scale(spec, wire_size)
-        data_in, data_out = PayloadModel.sizes_for(kind, wire_size)
-        return AccelOp(kind, cpu_ns, data_in, data_out)
+        """Build the :class:`AccelOp` of one trace step.
+
+        The time is ``base * size_scale(spec, wire_size)`` and the sizes
+        are ``PayloadModel.sizes_for(kind, wire_size)``, both computed
+        inline from the (service, kind) row.
+        """
+        rows = self._op_rows.get(spec.name)
+        if rows is None:
+            base_times = self._op_base_times(spec)
+            median = spec.wire_median_bytes
+            rows = self._op_rows[spec.name] = {
+                each: (base_times[each], median, *SIZE_FACTORS[each])
+                for each in base_times
+            }
+        base, median, in_factor, out_factor = rows[kind]
+        scale = wire_size / median
+        if scale < self.MIN_SIZE_SCALE:
+            scale = self.MIN_SIZE_SCALE
+        elif scale > self.MAX_SIZE_SCALE:
+            scale = self.MAX_SIZE_SCALE
+        data_in = int(wire_size * in_factor)
+        if data_in < 1:
+            data_in = 1
+        data_out = int(wire_size * out_factor)
+        if data_out < 1:
+            data_out = 1
+        return AccelOp(kind, base * scale, data_in, data_out)
 
     def cpu_segment_ns(self, spec: ServiceSpec, segment: CpuSegment) -> float:
         """AppLogic time of one CPU segment (generation-scaled)."""

@@ -286,8 +286,11 @@ class TestFluidFractionZero:
 class TestFleetScaleSpeedup:
     def test_mostly_fluid_fleet_is_at_least_5x_faster(self):
         """The acceptance bar: >=80% of machines fluid at fleet scale
-        must cut wall-clock time by at least 5x vs pure DES (the
-        measured margin is far larger; 5x keeps CI noise-proof)."""
+        must cut host time by at least 5x vs pure DES. Each arm is
+        timed in process CPU time, three times in alternation, and the
+        best of each is compared: other processes on the host then
+        neither add to an arm's time nor load one arm more than the
+        other."""
         import time
 
         svcs = services("UniqId", "StoreP", "Login")
@@ -303,27 +306,32 @@ class TestFleetScaleSpeedup:
                 warmup_fraction=0.0,
                 fluid=fluid,
             )
-            start = time.perf_counter()
+            start = time.process_time()
             result = run_cluster(svcs, config)
-            return result, time.perf_counter() - start
+            return result, time.process_time() - start
 
-        exact, exact_wall = run(None)
         fluid_config = FluidConfig(
             fluid_machines=tuple(range(1, 10)),
             calibrate_requests=30,
             batched=True,
         )
-        fluid, fluid_wall = run(fluid_config)
+        exact_cpu, fluid_cpu = [], []
+        for _ in range(3):
+            exact, cpu_s = run(None)
+            exact_cpu.append(cpu_s)
+            fluid, cpu_s = run(fluid_config)
+            fluid_cpu.append(cpu_s)
+        exact_best, fluid_best = min(exact_cpu), min(fluid_cpu)
 
         assert fluid.fluid_stats["fluid_fraction"] >= 0.8
         assert fluid.fluid_stats["mean_fluid_fraction"] >= 0.6
         assert fluid.merged_completed() == pytest.approx(
             fluid.arrivals, abs=1.0
         )
-        speedup = exact_wall / fluid_wall
+        speedup = exact_best / fluid_best
         assert speedup >= 5.0, (
             f"fleet-scale fluid speedup {speedup:.1f}x below the 5x bar "
-            f"(exact {exact_wall:.2f}s, fluid {fluid_wall:.2f}s)"
+            f"(best CPU time: exact {exact_best:.2f}s, fluid {fluid_best:.2f}s)"
         )
         # The deterministic work proxy tells the same story.
         assert (
